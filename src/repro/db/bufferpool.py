@@ -395,26 +395,29 @@ class BufferPool:
         """
         if frames and self.flush_hook is not None:
             self.flush_hook(frames)
-        groups: dict[tuple, tuple[DbFile, SemanticInfo, list[int]]] = {}
+        groups: dict[tuple, tuple[DbFile, int | None, list[int]]] = {}
         for frame in frames:
-            sem = self._writeback_semantics(frame)
-            key = (frame.file.fileid, sem)
-            if key not in groups:
-                groups[key] = (frame.file, sem, [])
-            groups[key][2].append(frame.pageno)
+            key = (frame.file.fileid, frame.dirty_query)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (frame.file, frame.dirty_query, [])
+            group[2].append(frame.pageno)
             frame.dirty = False
-        for file, sem, pagenos in groups.values():
+        for file, query_id, pagenos in groups.values():
             self.storage_manager.write_pages_batch(
-                file, pagenos, sem, async_hint=True
+                file,
+                pagenos,
+                self._writeback_semantics(file, query_id),
+                async_hint=True,
             )
         return len(frames)
 
     @staticmethod
-    def _writeback_semantics(frame: Frame) -> SemanticInfo:
-        file = frame.file
+    def _writeback_semantics(file: DbFile, query_id: int | None) -> SemanticInfo:
+        """The tag of one (file, dirtying query) writeback group."""
         if file.kind is FileKind.TEMP:
-            return SemanticInfo.temp_data(oid=file.oid, query_id=frame.dirty_query)
+            return SemanticInfo.temp_data(oid=file.oid, query_id=query_id)
         content = (
             ContentType.INDEX if file.kind is FileKind.INDEX else ContentType.TABLE
         )
-        return SemanticInfo.update(content, oid=file.oid, query_id=frame.dirty_query)
+        return SemanticInfo.update(content, oid=file.oid, query_id=query_id)

@@ -21,7 +21,7 @@ from repro.core.levels import compute_effective_levels, iter_nodes
 from repro.core.registry import RandomOperatorRef
 from repro.db.bufferpool import BufferPool
 from repro.db.catalog import Catalog, Index, Relation
-from repro.db.errors import ExecutionError
+from repro.db.errors import ExecutionError, StorageError
 from repro.db.heap import HeapFile
 from repro.db.btree import BTree
 from repro.db.pages import FileKind
@@ -70,6 +70,10 @@ class QueryExecution:
         self.rows: list[tuple] = []
         self.started_at = db.clock.now
         self.finished_at: float | None = None
+        self.error: Exception | None = None
+        """What an operator raised mid-:meth:`step`; the execution then
+        counts as finished (everything it held is released) and has no
+        result."""
 
         # Observability: open this query's trace span (no-op without an
         # enabled observer; hooks never touch the simulation itself).
@@ -155,6 +159,9 @@ class QueryExecution:
                 except StopIteration:
                     self._finish()
                     return False
+                except Exception as exc:
+                    self._fail(exc)
+                    raise
                 if item is PULSE:
                     consumed += 1
                     continue
@@ -175,17 +182,36 @@ class QueryExecution:
         while self.step(4096):
             pass
 
-    def _finish(self) -> None:
-        self.ctx.flush_cpu()
+    def _release(self) -> None:
+        """Give back what the query holds outside itself: its snapshot,
+        its Rule-5 registry entries and any spill file still live."""
         if self._owns_snapshot and self.db.txn_manager is not None:
+            self._owns_snapshot = False
             mvcc = self.db.txn_manager.mvcc
             mvcc.release_snapshot(self.snapshot)
             mvcc.gc()  # versions only this snapshot could see are dead now
         self.db.registry.unregister_query(self.query_id)
         self.db.temp.cleanup_query(self.query_id)
+
+    def _finish(self) -> None:
+        self.ctx.flush_cpu()
+        self._release()
         # Settle this query's in-flight writebacks so per-query statistics
         # and background accounting are complete when the result is read.
         self.db.storage.drain()
+        self._close()
+
+    def _fail(self, exc: Exception) -> None:
+        """An operator raised: release as :meth:`_finish` would, so the
+        database stays usable (the chaos harness keeps querying it)."""
+        self.error = exc
+        try:
+            self._release()
+        except StorageError:
+            pass  # best effort: the operator's error is the one to report
+        self._close()
+
+    def _close(self) -> None:
         self.finished_at = self.db.clock.now
         if self._obs is not None:
             self._obs.on_query_finish(
@@ -193,6 +219,10 @@ class QueryExecution:
             )
 
     def result(self) -> QueryResult:
+        if self.error is not None:
+            raise ExecutionError(
+                f"query {self.label!r} failed: {self.error!r}"
+            )
         if not self.done:
             raise ExecutionError(f"query {self.label!r} has not finished")
         return QueryResult(

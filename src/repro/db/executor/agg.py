@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.db.executor.join import _new_partitions, _route
+from repro.db.executor.join import SPILL_PARTITIONS, _new_partitions
 from repro.db.exprs import AggSpec, AggState
 from repro.db.plan import (
     PULSE,
@@ -23,6 +23,7 @@ from repro.db.plan import (
     PlanNode,
     chunk_rows,
 )
+from repro.db.temp import route_rows
 
 KeyFn = Callable[[tuple], object]
 GroupProj = Callable[[object, tuple], tuple]
@@ -81,7 +82,7 @@ class HashAggregate(PlanNode):
                 if partitions is None and len(groups) >= ctx.work_mem_rows:
                     partitions = _new_partitions(ctx)
                 if partitions is not None:
-                    _route(partitions, group_key, row)
+                    partitions[hash(key) % SPILL_PARTITIONS].append(row)
                     continue
                 state = groups[key] = AggState(aggs)
             state.add(row)
@@ -108,6 +109,7 @@ class HashAggregate(PlanNode):
                 continue
             ctx.cpu_tick(len(item))
             yield PULSE
+            missed: list[tuple] = []
             for row in item:
                 key = group_key(row)
                 state = groups.get(key)
@@ -115,10 +117,15 @@ class HashAggregate(PlanNode):
                     if partitions is None and len(groups) >= work_mem:
                         partitions = _new_partitions(ctx)
                     if partitions is not None:
-                        _route(partitions, group_key, row)
+                        missed.append(row)
                         continue
                     state = groups[key] = AggState(aggs)
                 state.add(row)
+            if missed:
+                # Resident groups aggregate in place and issue no I/O, so
+                # routing the batch's overflow rows after the loop leaves
+                # every page allocation where the row path puts it.
+                route_rows(partitions, group_key, missed)
 
         yield from chunk_rows(self._emit(groups))
         if partitions is not None:

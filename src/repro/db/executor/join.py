@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 from repro.db.errors import ExecutionError
 from repro.db.executor.scan import IndexScan
 from repro.db.plan import PULSE, PULSE_EVERY, ExecutionContext, PlanNode
-from repro.db.temp import SpillFile
+from repro.db.temp import SpillFile, route_rows
 
 KeyFn = Callable[[tuple], object]
 JoinPred = Callable[[tuple, tuple], bool]
@@ -53,6 +53,7 @@ class Hash(PlanNode):
         pulses; the return value is ``(table, None)`` for an in-memory
         build or ``(None, partitions)`` after a grace spill.
         """
+        key = self.key
         rows: list[tuple] = []
         spilled: list[SpillFile] | None = None
         seen = 0
@@ -68,18 +69,17 @@ class Hash(PlanNode):
                 rows.append(row)
                 if len(rows) > ctx.work_mem_rows:
                     spilled = _new_partitions(ctx)
-                    for buffered in rows:
-                        _route(spilled, self.key, buffered)
+                    route_rows(spilled, key, rows)
                     rows.clear()
             else:
-                _route(spilled, self.key, row)
+                spilled[hash(key(row)) % SPILL_PARTITIONS].append(row)
         if spilled is not None:
             for part in spilled:
                 part.finish_writing()
             return None, spilled
         table: dict = {}
         for row in rows:
-            table.setdefault(self.key(row), []).append(row)
+            table.setdefault(key(row), []).append(row)
         return table, None
 
     def build_iter_batch(self, ctx: ExecutionContext):
@@ -93,9 +93,10 @@ class Hash(PlanNode):
     def build_pipeline(self, ctx: ExecutionContext, items):
         """Build from any batch stream (vectorized child or push morsels).
 
-        Replicates the row path's exact spill boundary (the build spills
-        the moment the buffer holds ``work_mem + 1`` rows) so the grace
-        partitions — and hence the temp-file I/O — are identical.
+        Spills exactly when the row path does (once more than
+        ``work_mem`` rows have arrived) and routes every row in arrival
+        order, so the grace partitions — and hence the temp-file I/O —
+        are identical.
         """
         key = self.key
         rows: list[tuple] = []
@@ -107,23 +108,16 @@ class Hash(PlanNode):
                 continue
             ctx.cpu_tick(len(item))
             yield PULSE
-            if spilled is not None:
-                for row in item:
-                    _route(spilled, key, row)
-                continue
-            if len(rows) + len(item) <= work_mem:
-                rows.extend(item)
-                continue
-            for pos, row in enumerate(item):
-                rows.append(row)
-                if len(rows) > work_mem:
-                    spilled = _new_partitions(ctx)
-                    for buffered in rows:
-                        _route(spilled, key, buffered)
-                    rows.clear()
-                    for rest in item[pos + 1:]:
-                        _route(spilled, key, rest)
-                    break
+            if spilled is None:
+                if len(rows) + len(item) <= work_mem:
+                    rows.extend(item)
+                    continue
+                # This batch crosses work_mem: the buffered rows go out
+                # first, then the batch, all in arrival order.
+                spilled = _new_partitions(ctx)
+                route_rows(spilled, key, rows)
+                rows.clear()
+            route_rows(spilled, key, item)
         if spilled is not None:
             for part in spilled:
                 part.finish_writing()
@@ -136,10 +130,6 @@ class Hash(PlanNode):
 
 def _new_partitions(ctx: ExecutionContext) -> list[SpillFile]:
     return [ctx.temp.create(ctx.query_id) for _ in range(SPILL_PARTITIONS)]
-
-
-def _route(partitions: list[SpillFile], key: KeyFn, row: tuple) -> None:
-    partitions[hash(key(row)) % SPILL_PARTITIONS].append(row)
 
 
 class HashJoin(PlanNode):
@@ -178,6 +168,7 @@ class HashJoin(PlanNode):
             return
         assert partitions is not None
         probe_parts = _new_partitions(ctx)
+        probe_key = self.probe_key
         seen = 0
         for row in self.children[0].execute(ctx):
             if row is PULSE:
@@ -187,7 +178,7 @@ class HashJoin(PlanNode):
             seen += 1
             if seen % PULSE_EVERY == 0:
                 yield PULSE
-            _route(probe_parts, self.probe_key, row)
+            probe_parts[hash(probe_key(row)) % SPILL_PARTITIONS].append(row)
         for part in probe_parts:
             part.finish_writing()
         build_key = self.hash_node.key
@@ -233,8 +224,7 @@ class HashJoin(PlanNode):
                 continue
             ctx.cpu_tick(len(item))
             yield PULSE
-            for row in item:
-                _route(probe_parts, probe_key, row)
+            route_rows(probe_parts, probe_key, item)
         for part in probe_parts:
             part.finish_writing()
         build_key = self.hash_node.key

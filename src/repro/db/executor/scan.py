@@ -141,6 +141,7 @@ class IndexScan(PlanNode):
         self.pred = pred
         self.project = project
         self.fetch = fetch
+        self._tags: tuple[SemanticInfo, SemanticInfo] | None = None
 
     def random_refs(self, level: int) -> list[RandomOperatorRef]:
         refs = [RandomOperatorRef(self.index.oid, level)]
@@ -149,14 +150,30 @@ class IndexScan(PlanNode):
         return refs
 
     def _semantics(self, ctx: ExecutionContext) -> tuple[SemanticInfo, SemanticInfo]:
+        """The (index, table) tags of this execution.
+
+        A nested-loop join probes thousands of times per execution; the
+        pair depends only on the node, the query and its level, so it is
+        rebuilt only when one of those changes.
+        """
         level = ctx.level(self)
-        sem_index = SemanticInfo.random_access(
-            ContentType.INDEX, self.index.oid, level, query_id=ctx.query_id
-        )
-        sem_table = SemanticInfo.random_access(
-            ContentType.TABLE, self.index.table.oid, level, query_id=ctx.query_id
-        )
-        return sem_index, sem_table
+        tags = self._tags
+        if (
+            tags is None
+            or tags[0].level != level
+            or tags[0].query_id != ctx.query_id
+        ):
+            tags = self._tags = (
+                SemanticInfo.random_access(
+                    ContentType.INDEX, self.index.oid, level,
+                    query_id=ctx.query_id,
+                ),
+                SemanticInfo.random_access(
+                    ContentType.TABLE, self.index.table.oid, level,
+                    query_id=ctx.query_id,
+                ),
+            )
+        return tags
 
     def _entries(
         self, ctx: ExecutionContext, lo, hi, sem_index: SemanticInfo

@@ -122,7 +122,6 @@ class Sort(PlanNode):
     def _spill_run(self, ctx: ExecutionContext, buffer: list[tuple]):
         buffer.sort(key=self.key, reverse=self.reverse)
         run = ctx.temp.create(ctx.query_id)
-        for row in buffer:
-            run.append(row)
+        run.append_rows(buffer)
         run.finish_writing()
         return run

@@ -24,9 +24,9 @@ Bit-identity with the row/vectorized paths is structural, not tested-in:
 
 * **Requests** — the kernel reads through the same
   ``scan_window_columns`` windows the buffer pool serves to the other
-  modes, so page faults are identical; spilled rows route with the same
-  ``hash(key) % SPILL_PARTITIONS`` at the same per-row boundary, so temp
-  I/O is identical.
+  modes, so page faults are identical; a window's overflow rows go
+  through the same :func:`~repro.db.temp.route_rows` in arrival order
+  before the next window fault, so temp I/O is identical.
 * **CPU** — per window the kernel charges ``len(rows)`` (scan) plus
   ``len(sel)`` (aggregate): exactly the per-page totals the vectorized
   operators charge between the same two window faults, and
@@ -49,9 +49,10 @@ from typing import Iterator
 from repro.core.semantics import SemanticInfo
 from repro.db.columnar import ROW_REF
 from repro.db.executor.agg import HashAggregate, StreamAggregate
-from repro.db.executor.join import SPILL_PARTITIONS, _new_partitions
+from repro.db.executor.join import _new_partitions
 from repro.db.executor.scan import SeqScan
 from repro.db.plan import PULSE, ExecutionContext, chunk_rows
+from repro.db.temp import route_rows
 
 _CODE_CACHE: dict[str, object] = {}
 
@@ -134,7 +135,7 @@ def _hash_aggregate_stream(
 ) -> Iterator:
     groups: dict = {}
     partitions = yield from kernel(
-        ctx, _windows(scan, ctx, positions), groups
+        ctx, _windows(scan, ctx, positions), groups, node.group_key
     )
     specs, project, having = node.aggs, node.project, node.having
 
@@ -189,7 +190,7 @@ def _bind(source: str, params: list, init):
     namespace: dict = {
         "PULSE": PULSE,
         "_new_parts": _new_partitions,
-        "_NPART": SPILL_PARTITIONS,
+        "_route_rows": route_rows,
         "_INIT": init,
     }
     for n, value in enumerate(params):
@@ -307,7 +308,7 @@ def _hash_aggregate_source(pred, group_cols, specs):
     else:
         key_src = f"r[{group_cols[0]}]"
     lines = [
-        "def _fused(ctx, windows, groups):",
+        "def _fused(ctx, windows, groups, group_key):",
         "    tick = ctx.cpu_tick",
         "    work_mem = ctx.work_mem_rows",
         "    get = groups.get",
@@ -315,6 +316,7 @@ def _hash_aggregate_source(pred, group_cols, specs):
     ]
     _window_prelude(lines, positions, pred_src)
     lines += [
+        "        missed = []",
         "        for i in sel:",
         "            r = rows[i]",
         f"            key = {key_src}",
@@ -325,14 +327,18 @@ def _hash_aggregate_source(pred, group_cols, specs):
         "                if parts is not None:",
         # Spilled rows carry the *full* row tuple so the partition
         # re-aggregation pass (shared with the other modes) can replay
-        # the row lambdas; hash(key) routes identically because the
-        # declarative key equals group_key(row).
-        "                    parts[hash(key) % _NPART].append(r)",
+        # the row lambdas.
+        "                    missed.append(r)",
         "                    continue",
         "                acc = groups[key] = list(_INIT)",
     ]
     lines += _update_lines(entries, " " * 12, lambda s: f"acc[{s}]")
     lines += [
+        # The window's overflow rows route once, by the node's own
+        # group_key (the declarative key is its mirror), as on the
+        # vectorized path.
+        "        if missed:",
+        "            _route_rows(parts, group_key, missed)",
         "        yield PULSE",
         "    return parts",
     ]

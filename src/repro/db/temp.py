@@ -29,8 +29,19 @@ TEMP_ROWS_PER_PAGE = 64
 estimate is conservative."""
 
 
+_NO_OPEN_PAGE = (None,) * TEMP_ROWS_PER_PAGE
+"""Stand-in for the open page's row list when no page is open: it reads
+as full, so the next append takes the page-roll path, where the file's
+lifetime state is checked."""
+
+
 class SpillFile:
-    """One temporary file: append rows, read them back, delete."""
+    """One temporary file: append rows, read them back, delete.
+
+    The file is one generation stream and one or more consumption
+    streams of the same object by the same query (Section 4.2.3), so a
+    single semantic tag, built here, rides on every request it issues.
+    """
 
     def __init__(
         self, manager: "TempFileManager", file: DbFile, query_id: int | None
@@ -39,23 +50,43 @@ class SpillFile:
         self.file = file
         self.query_id = query_id
         self.row_count = 0
-        self._open_page: HeapPage | None = None
+        self._sem = SemanticInfo.temp_data(oid=file.oid, query_id=query_id)
+        self._tail = _NO_OPEN_PAGE  # the open page's row list
         self._writing = True
         self._deleted = False
 
     # ------------------------------------------------------------ generation
 
     def append(self, row) -> None:
+        tail = self._tail
+        if len(tail) >= TEMP_ROWS_PER_PAGE:
+            tail = self._roll()
+        tail.append(row)
+        self.row_count += 1
+
+    def append_rows(self, rows: list) -> None:
+        """Append a batch: same pages as one :meth:`append` per row."""
+        tail = self._tail
+        pos, count = 0, len(rows)
+        while pos < count:
+            room = TEMP_ROWS_PER_PAGE - len(tail)
+            if room <= 0:
+                tail = self._roll()
+                room = TEMP_ROWS_PER_PAGE
+            tail.extend(rows[pos:pos + room])
+            pos += room
+        self.row_count += count
+
+    def _roll(self) -> list:
+        """Open the next page; the only place generation state is checked."""
         if not self._writing:
             raise ExecutionError("append after finish_writing")
         if self._deleted:
             raise ExecutionError("append to a deleted spill file")
-        sem = SemanticInfo.temp_data(oid=self.file.oid, query_id=self.query_id)
-        if self._open_page is None or self._open_page.full:
-            self._open_page = HeapPage(TEMP_ROWS_PER_PAGE)
-            self._manager.pool.new_page(self.file, self._open_page, sem)
-        self._open_page.append(row)
-        self.row_count += 1
+        page = HeapPage(TEMP_ROWS_PER_PAGE)
+        self._manager.pool.new_page(self.file, page, self._sem)
+        self._tail = page.rows
+        return page.rows
 
     def finish_writing(self) -> None:
         """End the generation phase.
@@ -64,7 +95,7 @@ class SpillFile:
         the generation write stream reaches storage in large sequential
         requests instead of trickling out through later pool evictions.
         """
-        self._open_page = None
+        self._tail = _NO_OPEN_PAGE
         if self._writing and self.file.num_pages:
             self._manager.pool.flush_file(self.file)
         self._writing = False
@@ -77,12 +108,11 @@ class SpillFile:
             raise ExecutionError("read of a deleted spill file")
         if self._writing:
             self.finish_writing()
-        sem = SemanticInfo.temp_data(oid=self.file.oid, query_id=self.query_id)
         pool = self._manager.pool
         npages = self.file.num_pages
         if npages == 0:
             return
-        for page in pool.get_range(self.file, 0, npages, sem):
+        for page in pool.get_range(self.file, 0, npages, self._sem):
             for _, row in page.live_rows():
                 yield row
 
@@ -96,8 +126,9 @@ class SpillFile:
             raise ExecutionError("read of a deleted spill file")
         if self._writing:
             self.finish_writing()
-        sem = SemanticInfo.temp_data(oid=self.file.oid, query_id=self.query_id)
-        yield from iter_page_row_batches(self._manager.pool, self.file, sem)
+        yield from iter_page_row_batches(
+            self._manager.pool, self.file, self._sem
+        )
 
     # --------------------------------------------------------------- cleanup
 
@@ -106,11 +137,26 @@ class SpillFile:
         if self._deleted:
             return
         self._deleted = True
+        self._tail = _NO_OPEN_PAGE
         self._manager._delete(self)
 
     @property
     def deleted(self) -> bool:
         return self._deleted
+
+
+def route_rows(partitions: list[SpillFile], key, rows) -> None:
+    """Append each row to partition ``hash(key(row)) % len(partitions)``.
+
+    Rows are routed one by one in arrival order, never partition by
+    partition: every page roll calls ``pool.new_page``, and the global
+    order of those calls across the partitions fixes the pool's LRU and
+    eviction order, hence the request trace and simulated time.
+    """
+    appends = [part.append for part in partitions]
+    count = len(appends)
+    for row in rows:
+        appends[hash(key(row)) % count](row)
 
 
 class TempFileManager:
@@ -138,6 +184,10 @@ class TempFileManager:
         return spill
 
     def _delete(self, spill: SpillFile) -> None:
+        # Book-keeping first: a TRIM that raises must not leave the file
+        # registered as live forever (it is already marked deleted).
+        self._live.pop(spill.file.fileid, None)
+        self.deleted += 1
         self.pool.drop_file(spill.file)
         sem = SemanticInfo.temp_delete(
             oid=spill.file.oid, query_id=spill.query_id
@@ -149,8 +199,6 @@ class TempFileManager:
                 # Legacy-FS workaround: sequential re-read at the
                 # "non-caching and eviction" priority.
                 self.storage_manager.evict_scan_file(spill.file, sem)
-        self._live.pop(spill.file.fileid, None)
-        self.deleted += 1
 
     def cleanup_query(self, query_id: int | None) -> int:
         """Delete any spill files a finished query left behind."""

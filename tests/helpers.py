@@ -28,3 +28,19 @@ def make_database(
         **kw,
     )
     return build_database(config)
+
+
+def trace_requests(db: Database) -> list[tuple]:
+    """Record every request reaching storage, in submission order."""
+    log: list[tuple] = []
+    original = db.storage.submit
+
+    def spy(request):
+        log.append(
+            (request.op.name, request.lba, request.nblocks,
+             request.rtype.name, request.policy, request.segments)
+        )
+        return original(request)
+
+    db.storage.submit = spy
+    return log

@@ -3,8 +3,17 @@
 import pytest
 
 from repro.db import CatalogError, schema
-from repro.db.executor import IndexScan, SeqScan
-from tests.helpers import make_database
+from repro.db.errors import ExecutionError, StorageError
+from repro.db.executor import (
+    Hash,
+    HashJoin,
+    IndexScan,
+    NestedLoopIndexJoin,
+    Project,
+    SeqScan,
+)
+from repro.db.plan import PULSE, PlanNode
+from tests.helpers import make_database, trace_requests
 
 
 @pytest.fixture
@@ -74,8 +83,6 @@ class TestRunQuery:
         assert db.registry.active_queries == 0
 
     def test_temp_files_cleaned_after_query(self, db):
-        from repro.db.executor import Hash, HashJoin
-
         plan = HashJoin(
             SeqScan(db.catalog.relation("t")),
             Hash(SeqScan(db.catalog.relation("t")), key=lambda r: r[0]),
@@ -85,8 +92,6 @@ class TestRunQuery:
         assert db.temp.live_count == 0
 
     def test_result_before_finish_rejected(self, db):
-        from repro.db.errors import ExecutionError
-
         execution = db.start_query(SeqScan(db.catalog.relation("t")))
         with pytest.raises(ExecutionError):
             execution.result()
@@ -132,3 +137,104 @@ class TestConcurrency:
         db.reset_measurements()
         assert db.clock.now == 0.0
         assert db.storage.stats.overall.total.requests == 0
+
+
+class _FailAfter(PlanNode):
+    """Passes ``rows`` rows of its child through, then raises."""
+
+    def __init__(self, child, rows):
+        super().__init__(child, label="FailAfter")
+        self.rows = rows
+
+    def execute(self, ctx):
+        passed = 0
+        for item in self.children[0].execute(ctx):
+            if item is not PULSE:
+                if passed == self.rows:
+                    raise StorageError("injected mid-query failure")
+                passed += 1
+            yield item
+
+
+@pytest.mark.parametrize("executor", ["row", "vectorized", "push"])
+class TestFailedQuery:
+    """An operator that raises mid-``step()`` must not leak (ISSUE 16)."""
+
+    @staticmethod
+    def _make_db(executor):
+        database = make_database(executor=executor)
+        for name in ("t", "u"):
+            rel = database.create_table(
+                name, schema(("id", "int"), ("v", "float"))
+            )
+            rel.heap.bulk_load((i, float(i)) for i in range(300))
+            database.create_index(f"{name}_id", name, "id")
+        database.reset_measurements()
+        return database
+
+    @staticmethod
+    def _failing_plan(db):
+        """The build side (an index scan on ``u`` at level 0, so the
+        query holds Rule-5 registry entries) exceeds work_mem and spills;
+        the probe side dies after routing 150 rows into its own spill
+        partitions."""
+        return HashJoin(
+            _FailAfter(SeqScan(db.catalog.relation("t")), rows=150),
+            Hash(IndexScan(db.catalog.index("u_id")), key=lambda r: r[0]),
+            probe_key=lambda r: r[0],
+        )
+
+    @staticmethod
+    def _follow_up(db):
+        """Random access to ``t`` at level 1: alone in the registry it
+        takes the top random priority; beside a leaked level-0 entry it
+        would be pushed one priority down."""
+        return NestedLoopIndexJoin(
+            Project(
+                SeqScan(db.catalog.relation("u"), pred=lambda r: r[0] < 40),
+                lambda r: (r[0],),
+            ),
+            IndexScan(db.catalog.index("t_id")),
+            outer_key=lambda r: r[0],
+        )
+
+    def test_failure_releases_everything(self, executor):
+        db = self._make_db(executor)
+        execution = db.start_query(self._failing_plan(db), snapshot=True)
+        with pytest.raises(StorageError, match="injected"):
+            execution.run_to_completion()
+        assert db.temp.created >= 16  # both sides really spilled
+        assert db.temp.live_count == 0
+        assert db.temp.deleted == db.temp.created
+        assert db.registry.active_queries == 0
+        assert db.registry.gl_low is None
+        assert not db.txn_manager.mvcc._active_snapshots
+        assert execution.done and execution.error is not None
+        assert execution.step() is False
+        with pytest.raises(ExecutionError, match="failed"):
+            execution.result()
+
+    def test_following_query_runs_as_on_a_fresh_database(self, executor):
+        fresh = self._make_db(executor)
+        used = self._make_db(executor)
+        with pytest.raises(StorageError):
+            used.run_query(self._failing_plan(used))
+        traces = []
+        for db in (fresh, used):
+            db.pool.clear()  # same (empty) pool; the registry is the point
+            trace = trace_requests(db)
+            result = db.run_query(self._follow_up(db))
+            traces.append((result.rows, trace))
+        assert traces[0][1]  # the follow-up really reached storage
+        assert traces[1] == traces[0]
+
+    def test_cleanup_error_does_not_mask_the_first(self, executor):
+        db = self._make_db(executor)
+
+        def failing_trim(file, sem):
+            raise StorageError("trim failed too")
+
+        db.storage_manager.trim_file = failing_trim
+        with pytest.raises(StorageError, match="injected"):
+            db.run_query(self._failing_plan(db))
+        assert db.registry.active_queries == 0

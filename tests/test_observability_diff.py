@@ -16,26 +16,10 @@ from repro.obs import Observer
 from repro.tpch.datagen import generate
 from repro.tpch.queries import query_builder, query_label
 from repro.tpch.workload import load_tpch
-from tests.helpers import make_database
+from tests.helpers import make_database, trace_requests
 
 SCALE = 0.05
 ALL_QUERIES = tuple(range(1, 23))
-
-
-def _trace_requests(db):
-    """Record every request reaching storage, in submission order."""
-    log = []
-    original = db.storage.submit
-
-    def spy(request):
-        log.append(
-            (request.op.name, request.lba, request.nblocks,
-             request.rtype.name, request.policy, request.segments)
-        )
-        return original(request)
-
-    db.storage.submit = spy
-    return log
 
 
 def _snapshot(db, result):
@@ -89,7 +73,7 @@ class TestObserverBitIdentity:
         arms = {}
         for name, observer in (("off", None), ("on", Observer())):
             db = _build(data, "vectorized", observer)
-            trace = _trace_requests(db)
+            trace = trace_requests(db)
             per_query = {}
             for qid in ALL_QUERIES:
                 result = db.run_query(
@@ -115,7 +99,7 @@ class TestObserverBitIdentityOtherExecutors:
         snaps = {}
         for name, observer in (("off", None), ("on", Observer())):
             db = _build(data, executor, observer)
-            trace = _trace_requests(db)
+            trace = trace_requests(db)
             result = db.run_query(query_builder(qid), label=query_label(qid))
             snap = _snapshot(db, result)
             snap["request_trace"] = trace

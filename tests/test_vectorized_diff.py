@@ -19,30 +19,15 @@ from repro.db.executor import (
     SeqScan,
     Sort,
 )
+from repro.db.columnar import col
 from repro.db.exprs import agg_count, agg_sum
 from repro.db.tuples import schema
 from repro.tpch.datagen import generate
 from repro.tpch.queries import query_builder
 from repro.tpch.workload import load_tpch
-from tests.helpers import make_database
+from tests.helpers import make_database, trace_requests
 
 SCALE = 0.08
-
-
-def _trace_requests(db):
-    """Record every request reaching storage, in submission order."""
-    log = []
-    original = db.storage.submit
-
-    def spy(request):
-        log.append(
-            (request.op.name, request.lba, request.nblocks,
-             request.rtype.name, request.policy, request.segments)
-        )
-        return original(request)
-
-    db.storage.submit = spy
-    return log
 
 
 def _snapshot(db, result):
@@ -77,7 +62,7 @@ def _run_both(make_db, plan_builder, label):
     snaps = {}
     for vectorized in (False, True):
         db = make_db(vectorized)
-        trace = _trace_requests(db)
+        trace = trace_requests(db)
         result = db.run_query(plan_builder, label=label)
         snaps[vectorized] = _snapshot(db, result)
         snaps[vectorized]["request_trace"] = trace
@@ -158,6 +143,80 @@ class TestSpillDifferential:
         assert vec_snap == row_snap
 
 
+class TestBatchSpillDifferential:
+    """Batch-granular spilling (ISSUE 16) in all three executors.
+
+    The hash build crosses ``work_mem`` in the middle of a scan batch,
+    the probe side spills whole batches, and the hash aggregate's group
+    table fills in the middle of a join-output batch, so its overflow
+    rows are a strict subset of their batch.  Routing must still place
+    every temp page where the row executor places it.
+    """
+
+    ROWS = 2500
+    WORK_MEM = 130
+
+    def _make_db(self, executor):
+        db = make_database(
+            cache_blocks=256,
+            bufferpool_pages=24,
+            work_mem_rows=self.WORK_MEM,
+            executor=executor,
+        )
+        t = db.create_table("t", schema(("k", "int"), ("v", "int")))
+        t.heap.bulk_load((i % 211, i) for i in range(self.ROWS))
+        # No batch boundary (page or read-ahead window) lands on work_mem.
+        assert self.WORK_MEM % t.heap.rows_per_page
+        db.reset_measurements()
+        return db
+
+    @staticmethod
+    def _join_plan(db):
+        rel = db.catalog.relation("t")
+        join = HashJoin(
+            SeqScan(rel),
+            Hash(SeqScan(rel, pred=lambda r: r[1] % 3 == 0),
+                 key=lambda r: r[0]),
+            probe_key=lambda r: r[0],
+            project=lambda a, b: (a[0], a[1], b[1]),
+        )
+        # Every probe row is its own group (k = v % 211 and v % 400 fix v
+        # below ROWS): the group table fills after WORK_MEM of them and
+        # later groups overflow, while the resident ones aggregate on.
+        return HashAggregate(
+            join,
+            group_key=lambda r: (r[0], r[1] % 400),
+            aggs=[agg_sum(lambda r: r[2]), agg_count()],
+        )
+
+    @staticmethod
+    def _fused_plan(db):
+        """Aggregate directly over a scan: the push executor's generated
+        kernel collects and routes the overflow itself."""
+        return HashAggregate(
+            SeqScan(db.catalog.relation("t")),
+            group_key=lambda r: r[0],
+            group_cols=(0,),
+            aggs=[agg_sum(lambda r: r[1], col_expr=col(1)), agg_count()],
+        )
+
+    @pytest.mark.parametrize("plan", ["_join_plan", "_fused_plan"])
+    def test_three_executors_identical_simulation(self, plan):
+        snaps = {}
+        for executor in ("row", "vectorized", "push"):
+            db = self._make_db(executor)
+            trace = trace_requests(db)
+            result = db.run_query(getattr(self, plan), label=plan)
+            snaps[executor] = _snapshot(db, result)
+            snaps[executor]["request_trace"] = trace
+            snaps[executor]["pool_evictions"] = db.pool.evictions
+        row = snaps["row"]
+        assert row["temp_created"] == (24 if plan == "_join_plan" else 8)
+        assert row["by_type"]["TEMP_WRITE"][0] > 0
+        assert snaps["vectorized"] == row
+        assert snaps["push"] == row
+
+
 class TestLimitDifferential:
     """Truncation over a *streaming* child: the row path stops pulling —
     and stops charging upstream CPU — at exactly the n-th row, so Limit
@@ -206,7 +265,7 @@ class TestPushDifferential:
             )
             load_tpch(db, data=data)
             db.reset_measurements()
-            trace = _trace_requests(db)
+            trace = trace_requests(db)
             per_query = {}
             for qid in range(1, 23):
                 start = len(trace)
