@@ -8,7 +8,7 @@ Three measurements of the telemetry machinery:
   rows, the simulated clock, request/block totals and buffer-pool
   counters must match exactly (gate ``obs_identical``, floor 1.0);
 * **profile closure** — ``explain_analyze`` over representative queries
-  in all three executor modes; per-node self-times must sum exactly to
+  in both executor modes; per-node self-times must sum exactly to
   each query's simulated elapsed seconds (gate ``profile_closure``,
   floor 1.0);
 * **latency percentiles** — exact p50/p95/p99 per QoS class (the
@@ -43,7 +43,7 @@ BENCH_QUERIES = (
     tuple(POWER_ORDER) if BENCH_SCALE >= 1.0 else (1, 3, 6, 14)
 )
 CLOSURE_QUERIES = (1, 3, 6)
-EXECUTORS = ("row", "vectorized", "push")
+EXECUTORS = ("row", "vectorized")
 SEED = 7
 
 
@@ -52,7 +52,7 @@ def _build(data, observer=None, executor: str = "vectorized"):
         StorageConfig(
             kind="hstorage",
             bufferpool_pages=32,
-            executor=executor,
+            vectorized=executor == "vectorized",
             observer=observer,
         )
     )

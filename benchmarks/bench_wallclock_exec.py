@@ -1,23 +1,20 @@
-"""Real wall-clock benchmark: row vs vectorized vs push execution.
+"""Real wall-clock benchmark: row vs vectorized execution.
 
 Unlike every other benchmark in this directory, the numbers here are
 *host* seconds, not simulated seconds: the vectorized engine (ISSUE 2)
-and the push-based morsel engine (ISSUE 6, DESIGN.md §12) change only
-how fast the simulation itself runs.  Three measurements:
+changes only how fast the simulation itself runs.  Two measurements:
 
 * a sequential-scan microbenchmark (the paper's Rule-1 traffic shape) —
   acceptance-gated at **>= 6x** for the vectorized engine (ratcheted
-  from the original 3x) and **>= 10x** for the push engine;
-* Q1/Q3/Q6 TPC-H plans at two scale factors, reported per executor;
-* the **Q1+Q6** combined wall clock, push vs row — the fused-kernel
-  gate (**>= 3x**), measured at the medium scale factor.
+  from the original 3x);
+* Q1/Q3/Q6 TPC-H plans at two scale factors, reported per executor.
 
-All engines run the identical simulated workload — the differential
+Both paths run the identical simulated workload — the differential
 tests (tests/test_vectorized_diff.py) prove the simulated clock, request
 order and result rows match bit-for-bit; this benchmark only times them.
 
-CLI axes (see conftest): ``--executor {row,vectorized,push}`` restricts
-the comparison to one mode (exploratory; gates need all three and are
+CLI axes (see conftest): ``--executor {row,vectorized}`` restricts
+the comparison to one mode (exploratory; the gate needs both and is
 skipped), and ``--profile`` wraps each measured run in ``cProfile`` and
 adds the top-20 cumulative hotspots to the JSON artifact (profiler
 overhead pollutes the timings, so gates are skipped then too).
@@ -51,16 +48,13 @@ from repro.tpch.datagen import generate
 from repro.tpch.queries import query_builder
 from repro.tpch.workload import load_tpch
 
-EXECUTORS = ("row", "vectorized", "push")
+EXECUTORS = ("row", "vectorized")
 
 SCAN_ROWS = max(20_000, int(80_000 * BENCH_SCALE))
 TPCH_SCALES = {"small": 0.08 * BENCH_SCALE, "medium": 0.25 * BENCH_SCALE}
 TPCH_QUERIES = (1, 3, 6)
-GATE_SF = "medium"
 
 MIN_SCAN_SPEEDUP_VEC = 6.0  # ratcheted from the original 3x (ISSUE 6)
-MIN_SCAN_SPEEDUP_PUSH = 10.0
-MIN_Q1Q6_SPEEDUP_PUSH = 3.0
 REPEATS = 3
 
 
@@ -70,12 +64,12 @@ def _scan_db(executor: str):
     # With a smaller pool every repetition re-runs the storage-simulation
     # fault path, which is bit-identical across executors and would cap
     # the measurable ratio at shared-cost parity instead of exposing the
-    # per-row vs per-morsel difference this micro exists to track.
+    # per-row vs per-batch difference this micro exists to track.
     db = build_database(
         hstorage_config(
             cache_blocks=4096,
             bufferpool_pages=max(512, SCAN_ROWS // 32),
-            executor=executor,
+            vectorized=executor == "vectorized",
         )
     )
     rel = db.create_table("t", schema(("k", "int"), ("pad", "str", 16)))
@@ -90,7 +84,7 @@ def _tpch_db(executor: str, data):
             cache_blocks=4096,
             bufferpool_pages=1024,
             work_mem_rows=5000,
-            executor=executor,
+            vectorized=executor == "vectorized",
         )
     )
     load_tpch(db, data=data)
@@ -200,24 +194,6 @@ def _bench_tpch(executors, profiler) -> list[dict]:
     return entries
 
 
-def _q1q6(tpch: list[dict]) -> dict | None:
-    """Combined Q1+Q6 wall clock at the gate scale, push vs row."""
-    totals: dict[str, float] = {}
-    for entry in tpch:
-        if entry["sf"] == GATE_SF and entry["query"] in ("Q1", "Q6"):
-            totals[entry["executor"]] = (
-                totals.get(entry["executor"], 0.0) + entry["seconds"]
-            )
-    if "row" not in totals or "push" not in totals:
-        return None
-    return {
-        "sf": GATE_SF,
-        "row_seconds": totals["row"],
-        "push_seconds": totals["push"],
-        "speedup": totals["row"] / totals["push"],
-    }
-
-
 def test_wallclock_exec(benchmark, bench_options):
     only = bench_options["executor"]
     executors = (only,) if only else EXECUTORS
@@ -229,8 +205,6 @@ def test_wallclock_exec(benchmark, bench_options):
             "scan": _bench_scan(executors, profiler),
             "tpch": _bench_tpch(executors, profiler),
         }
-        if full_comparison:
-            payload["q1q6"] = _q1q6(payload["tpch"])
         if profiler.enabled:
             payload["profile"] = profiler.hotspots
         return payload
@@ -256,12 +230,12 @@ def test_wallclock_exec(benchmark, bench_options):
         format_table(
             ["workload", "scale", "query", "executor", "ms", "vs row"],
             table,
-            "Executor wall clock — row vs vectorized vs push",
+            "Executor wall clock — row vs vectorized",
         ),
     )
 
     # The speedup floors are acceptance gates for full-fidelity,
-    # unprofiled, all-executor runs only: shrunken smoke runs (CI sets
+    # unprofiled, both-executor runs only: shrunken smoke runs (CI sets
     # REPRO_BENCH_SCALE < 1) are too noisy to gate on host timing, and
     # cProfile overhead distorts the ratios.  Gate values are recorded
     # in the envelope under the same condition — the trajectory check
@@ -274,17 +248,10 @@ def test_wallclock_exec(benchmark, bench_options):
         gates["scan_speedup_vectorized"] = (
             scan["speedup"]["vectorized"], MIN_SCAN_SPEEDUP_VEC
         )
-        gates["scan_speedup_push"] = (
-            scan["speedup"]["push"], MIN_SCAN_SPEEDUP_PUSH
-        )
-        if outcome["q1q6"] is not None:
-            gates["q1q6_speedup_push"] = (
-                outcome["q1q6"]["speedup"], MIN_Q1Q6_SPEEDUP_PUSH
-            )
     env = envelope("wallclock_exec", pr=6, payload=outcome, gates=gates)
     publish_envelope(env)
 
-    # All executors simulate the identical world.
+    # Both executors simulate the identical world.
     assert len(set(scan["sim_seconds"].values())) == 1
 
     if gated:

@@ -47,9 +47,9 @@ def pytest_addoption(parser):
         "--executor",
         action="store",
         default=None,
-        choices=("row", "vectorized", "push"),
+        choices=("row", "vectorized"),
         help="restrict executor benchmarks to one mode "
-        "(default: compare all modes)",
+        "(default: compare both modes)",
     )
     parser.addoption(
         "--profile",

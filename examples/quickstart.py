@@ -42,17 +42,6 @@ def main() -> None:
           f"in {result.sim_seconds:.3f} simulated seconds")
     print(f"first rows: {result.rows[:3]}")
 
-    # The push-based morsel executor (DESIGN.md §12) runs the identical
-    # simulated workload — same rows, same simulated seconds — just
-    # faster in host time (fused kernels for the Q1/Q6 shapes).
-    push_db = build_database(config.with_(executor="push"))
-    load_tpch(push_db, scale=0.3)
-    push_result = push_db.run_query(build_query(push_db, 9), label="Q9")
-    assert push_result.rows == result.rows
-    assert push_result.sim_seconds == result.sim_seconds
-    print(f"push executor -> identical rows and simulated clock "
-          f"({push_result.sim_seconds:.3f} s)")
-
     print("\nI/O classification (the paper's Figure 4 view):")
     for rtype in RequestType:
         counts = result.stats.by_type.get(rtype)

@@ -115,15 +115,8 @@ class QueryExecution:
             snapshot=self.snapshot,
             mvcc=db.txn_manager.mvcc if self.snapshot is not None else None,
         )
-        # The push stream has the vectorized shape (batches + pulses), so
-        # step() flattens both through the same branch.
-        executor = db.executor
-        self._vectorized = executor != "row"
-        if executor == "push":
-            from repro.db.push import run_push
-
-            self._iterator = run_push(plan, self.ctx)
-        elif executor == "vectorized":
+        self._vectorized = db.vectorized
+        if db.vectorized:
             self._iterator = plan.execute_batch(self.ctx)
         else:
             self._iterator = plan.execute(self.ctx)
@@ -247,7 +240,6 @@ class Database:
         btree_order: int = 128,
         use_trim: bool = True,
         vectorized: bool = True,
-        executor: str | None = None,
         placement: str | None = None,
     ) -> None:
         self.storage = storage
@@ -255,19 +247,7 @@ class Database:
         self.params = params if params is not None else SimulationParameters()
         self.work_mem_rows = work_mem_rows
         self.btree_order = btree_order
-        # ``executor`` supersedes the boolean ``vectorized`` switch:
-        # "row" | "vectorized" | "push" (DESIGN.md §12).  When omitted it
-        # derives from ``vectorized`` so existing callers are unchanged;
-        # ``self.vectorized`` stays consistent either way.
-        if executor is None:
-            executor = "vectorized" if vectorized else "row"
-        if executor not in ("row", "vectorized", "push"):
-            raise ValueError(
-                f"unknown executor {executor!r}; "
-                "expected 'row', 'vectorized' or 'push'"
-            )
-        self.executor = executor
-        self.vectorized = executor != "row"
+        self.vectorized = vectorized
 
         self.catalog = Catalog()
         self.registry = assignment.registry

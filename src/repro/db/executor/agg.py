@@ -48,7 +48,6 @@ class HashAggregate(PlanNode):
         aggs: list[AggSpec],
         having: Callable[[tuple], bool] | None = None,
         project: GroupProj | None = None,
-        group_cols: tuple[int, ...] | None = None,
         label: str | None = None,
     ) -> None:
         super().__init__(child, label=label or "HashAggregate")
@@ -56,12 +55,6 @@ class HashAggregate(PlanNode):
         self.aggs = aggs
         self.having = having
         self.project = project if project is not None else _default_group_proj
-        self.group_cols = group_cols
-        """Optional declarative mirror of ``group_key``: the column
-        positions it reads.  Never evaluated on the row/vectorized paths;
-        the push executor's fused kernels compile it column-at-a-time.
-        When set, ``group_key`` must return the tuple of those columns
-        (or the bare column value when there is exactly one)."""
 
     def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
         groups: dict[object, AggState] = {}
@@ -96,14 +89,11 @@ class HashAggregate(PlanNode):
                 part.delete()  # end of this partition's temp lifetime
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        yield from self.push_pipeline(ctx, self.children[0].execute_batch(ctx))
-
-    def push_pipeline(self, ctx: ExecutionContext, batches) -> Iterator:
         groups: dict[object, AggState] = {}
         partitions = None
         group_key, aggs = self.group_key, self.aggs
         work_mem = ctx.work_mem_rows
-        for item in batches:
+        for item in self.children[0].execute_batch(ctx):
             if item is PULSE:
                 yield PULSE
                 continue
@@ -224,9 +214,7 @@ class StreamAggregate(PlanNode):
             yield self.project(current_key, state.results())
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        yield from self.push_pipeline(ctx, self.children[0].execute_batch(ctx))
-
-    def push_pipeline(self, ctx: ExecutionContext, batches) -> Iterator:
+        batches = self.children[0].execute_batch(ctx)
         if self.group_key is None:
             state = AggState(self.aggs)
             add = state.add

@@ -83,15 +83,7 @@ class Hash(PlanNode):
         return table, None
 
     def build_iter_batch(self, ctx: ExecutionContext):
-        """Vectorized :meth:`build_iter`: batches in, same build result out."""
-        return (
-            yield from self.build_pipeline(
-                ctx, self.children[0].execute_batch(ctx)
-            )
-        )
-
-    def build_pipeline(self, ctx: ExecutionContext, items):
-        """Build from any batch stream (vectorized child or push morsels).
+        """Vectorized :meth:`build_iter`: batches in, same build result out.
 
         Spills exactly when the row path does (once more than
         ``work_mem`` rows have arrived) and routes every row in arrival
@@ -102,7 +94,7 @@ class Hash(PlanNode):
         rows: list[tuple] = []
         spilled: list[SpillFile] | None = None
         work_mem = ctx.work_mem_rows
-        for item in items:
+        for item in self.children[0].execute_batch(ctx):
             if item is PULSE:
                 yield PULSE
                 continue
@@ -197,28 +189,16 @@ class HashJoin(PlanNode):
             probe_part.delete()
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        yield from self.push_join(
-            ctx,
-            self.children[0].execute_batch(ctx),
-            self.hash_node.build_iter_batch(ctx),
-        )
-
-    def push_join(self, ctx: ExecutionContext, probe_batches, build) -> Iterator:
-        """Join any probe batch stream against a running build generator.
-
-        ``probe_batches`` and ``build`` are both lazy generators, so the
-        probe side issues no I/O until the (blocking) build returns —
-        exactly the vectorized path's ordering.  The push executor passes
-        its own morsel streams for either side.
-        """
-        table, partitions = yield from build
+        table, partitions = yield from self.hash_node.build_iter_batch(ctx)
         if table is not None:
-            yield from self._join_batches(ctx, probe_batches, table)
+            yield from self._join_batches(
+                ctx, self.children[0].execute_batch(ctx), table
+            )
             return
         assert partitions is not None
         probe_parts = _new_partitions(ctx)
         probe_key = self.probe_key
-        for item in probe_batches:
+        for item in self.children[0].execute_batch(ctx):
             if item is PULSE:
                 yield PULSE
                 continue

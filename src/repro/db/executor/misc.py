@@ -11,37 +11,8 @@ from repro.db.plan import (
     PULSE_EVERY,
     ExecutionContext,
     PlanNode,
-    PushConsumer,
     chunk_rows,
 )
-
-
-class _FilterConsumer(PushConsumer):
-    __slots__ = ("ctx", "pred")
-
-    def __init__(self, ctx: ExecutionContext, pred) -> None:
-        self.ctx = ctx
-        self.pred = pred
-
-    def consume(self, batch: list, out: list) -> None:
-        self.ctx.cpu_tick(len(batch))
-        pred = self.pred
-        res = [row for row in batch if pred(row)]
-        if res:
-            out.append(res)
-
-
-class _ProjectConsumer(PushConsumer):
-    __slots__ = ("ctx", "fn")
-
-    def __init__(self, ctx: ExecutionContext, fn) -> None:
-        self.ctx = ctx
-        self.fn = fn
-
-    def consume(self, batch: list, out: list) -> None:
-        self.ctx.cpu_tick(len(batch))
-        fn = self.fn
-        out.append([fn(row) for row in batch])
 
 
 class Filter(PlanNode):
@@ -73,9 +44,6 @@ class Filter(PlanNode):
             if out:
                 yield out
 
-    def push_consumer(self, ctx: ExecutionContext) -> PushConsumer:
-        return _FilterConsumer(ctx, self.pred)
-
 
 class Project(PlanNode):
     """Row projection / expression evaluation."""
@@ -102,9 +70,6 @@ class Project(PlanNode):
                 continue
             ctx.cpu_tick(len(item))
             yield [fn(row) for row in item]
-
-    def push_consumer(self, ctx: ExecutionContext) -> PushConsumer:
-        return _ProjectConsumer(ctx, self.fn)
 
 
 class Limit(PlanNode):
@@ -174,11 +139,8 @@ class TopN(PlanNode):
         yield from pick(self.n, rows, key=self.key)
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        yield from self.push_pipeline(ctx, self.children[0].execute_batch(ctx))
-
-    def push_pipeline(self, ctx: ExecutionContext, batches) -> Iterator:
         rows: list[tuple] = []
-        for item in batches:
+        for item in self.children[0].execute_batch(ctx):
             if item is PULSE:
                 yield PULSE
                 continue
@@ -218,13 +180,9 @@ class Materialize(PlanNode):
         yield from self._rows
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        yield from self.push_pipeline(ctx, self.children[0].execute_batch(ctx))
-
-    def push_pipeline(self, ctx: ExecutionContext, batches) -> Iterator:
-        del ctx
         if self._rows is None:
             rows: list[tuple] = []
-            for item in batches:
+            for item in self.children[0].execute_batch(ctx):
                 if item is PULSE:
                     yield PULSE
                     continue

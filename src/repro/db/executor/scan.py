@@ -21,19 +21,12 @@ class SeqScan(PlanNode):
         relation: Relation,
         pred: Pred | None = None,
         project: Proj | None = None,
-        pred_cols=None,
         label: str | None = None,
     ) -> None:
         super().__init__(label=label or f"SeqScan({relation.name})")
         self.relation = relation
         self.pred = pred
         self.project = project
-        self.pred_cols = pred_cols
-        """Optional declarative mirror of ``pred`` (a
-        :class:`~repro.db.columnar.ColumnPredicate`) — never evaluated on
-        the row/vectorized paths; the push executor's fused kernels
-        compile it column-at-a-time.  When set it must accept exactly
-        the rows ``pred`` accepts."""
 
     def _rows(self, ctx: ExecutionContext, sem: SemanticInfo) -> Iterator[tuple]:
         """Row stream: current state, or the MVCC snapshot's view when the
@@ -71,33 +64,6 @@ class SeqScan(PlanNode):
         sem = SemanticInfo.table_scan(self.relation.oid, query_id=ctx.query_id)
         pred, project = self.pred, self.project
         for batch in self._batches(ctx, sem):
-            ctx.cpu_tick(len(batch))
-            if pred is not None:
-                batch = [row for row in batch if pred(row)]
-            if project is not None:
-                batch = [project(row) for row in batch]
-            if batch:
-                yield batch
-            yield PULSE
-
-    def push_batches(self, ctx: ExecutionContext) -> Iterator:
-        """Morsel source for the push executor: one batch per read-ahead
-        window instead of one per page (DESIGN.md §12).
-
-        I/O happens only at window faults, so the coarser batching emits
-        the same rows in the same order against an identical request
-        stream; the per-operator CPU totals are unchanged because
-        :meth:`ExecutionContext.cpu_tick` flushes in fixed 512-tuple
-        chunks regardless of call grouping.  Snapshot scans resolve
-        versions page-at-a-time and stay on the vectorized path.
-        """
-        if ctx.snapshot is not None and ctx.mvcc is not None:
-            yield from self.execute_batch(ctx)
-            return
-        sem = SemanticInfo.table_scan(self.relation.oid, query_id=ctx.query_id)
-        pred, project = self.pred, self.project
-        heap = self.relation.heap
-        for batch in heap.scan_window_batches(ctx.pool, sem):
             ctx.cpu_tick(len(batch))
             if pred is not None:
                 batch = [row for row in batch if pred(row)]

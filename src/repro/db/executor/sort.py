@@ -74,13 +74,10 @@ class Sort(PlanNode):
                 run.delete()
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        yield from self.push_pipeline(ctx, self.children[0].execute_batch(ctx))
-
-    def push_pipeline(self, ctx: ExecutionContext, batches) -> Iterator:
         runs: list = []
         buffer: list[tuple] = []
         work_mem = ctx.work_mem_rows
-        for item in batches:
+        for item in self.children[0].execute_batch(ctx):
             if item is PULSE:
                 yield PULSE
                 continue

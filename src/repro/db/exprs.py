@@ -15,19 +15,10 @@ _AGG_KINDS = {"sum", "count", "avg", "min", "max"}
 
 @dataclass(frozen=True)
 class AggSpec:
-    """One aggregate: kind plus the value expression (None = count(*)).
-
-    ``col_expr`` optionally carries the same value expression in the
-    declarative :class:`~repro.db.columnar.ColExpr` form.  It never
-    participates in row/vectorized evaluation — it exists so the push
-    executor's fused kernels (DESIGN.md §12) can compile the expression
-    to column-at-a-time code; when present it MUST compute exactly what
-    ``value`` computes (the three-mode differential tests enforce this).
-    """
+    """One aggregate: kind plus the value expression (None = count(*))."""
 
     kind: str
     value: ValueFn | None = None
-    col_expr: object | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _AGG_KINDS:
@@ -36,24 +27,24 @@ class AggSpec:
             raise ExecutionError(f"{self.kind} needs a value expression")
 
 
-def agg_sum(fn: ValueFn, col_expr=None) -> AggSpec:
-    return AggSpec("sum", fn, col_expr)
+def agg_sum(fn: ValueFn) -> AggSpec:
+    return AggSpec("sum", fn)
 
 
-def agg_count(fn: ValueFn | None = None, col_expr=None) -> AggSpec:
-    return AggSpec("count", fn, col_expr)
+def agg_count(fn: ValueFn | None = None) -> AggSpec:
+    return AggSpec("count", fn)
 
 
-def agg_avg(fn: ValueFn, col_expr=None) -> AggSpec:
-    return AggSpec("avg", fn, col_expr)
+def agg_avg(fn: ValueFn) -> AggSpec:
+    return AggSpec("avg", fn)
 
 
-def agg_min(fn: ValueFn, col_expr=None) -> AggSpec:
-    return AggSpec("min", fn, col_expr)
+def agg_min(fn: ValueFn) -> AggSpec:
+    return AggSpec("min", fn)
 
 
-def agg_max(fn: ValueFn, col_expr=None) -> AggSpec:
-    return AggSpec("max", fn, col_expr)
+def agg_max(fn: ValueFn) -> AggSpec:
+    return AggSpec("max", fn)
 
 
 class _Acc:

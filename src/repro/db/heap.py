@@ -102,46 +102,6 @@ class HeapFile:
         """
         yield from iter_page_row_batches(pool, self.file, sem)
 
-    def scan_window_batches(
-        self, pool: BufferPool, sem: SemanticInfo
-    ) -> Iterator[list]:
-        """Sequential scan yielding one *morsel* per read-ahead window.
-
-        The push executor's unit of work (DESIGN.md §12): all live rows
-        of one ``BufferPool`` read-ahead window, concatenated into a
-        single fresh list.  Page requests are identical (same windows,
-        same faults, same order) to :meth:`scan_batches`; only the batch
-        boundary moves from page to window granularity — I/O happens
-        exclusively at window faults, so regrouping within a window is
-        invisible to the request stream.  Windows whose pages are all
-        tombstones yield an empty list.
-        """
-        npages = self.num_pages
-        if npages == 0:
-            return
-        for pages in pool.get_range_batches(self.file, 0, npages, sem):
-            rows: list = []
-            for page in pages:
-                if page.num_deleted:
-                    rows += [row for row in page.rows if row is not None]
-                else:
-                    rows += page.rows
-            yield rows
-
-    def scan_window_columns(
-        self, pool: BufferPool, sem: SemanticInfo, positions: tuple[int, ...]
-    ) -> Iterator[tuple[list, list[list]]]:
-        """Columnar morsel scan: ``(rows, columns)`` per read-ahead window.
-
-        ``columns`` holds one value list per requested attribute position
-        (the fused kernels' column-at-a-time operands); ``rows`` is the
-        same morsel as :meth:`scan_window_batches` — kept alongside so
-        spill paths that need whole tuples (grace partition routing) can
-        reach them without re-materialising.
-        """
-        for rows in self.scan_window_batches(pool, sem):
-            yield rows, [[row[pos] for row in rows] for pos in positions]
-
     def fetch(self, pool: BufferPool, rid: Rid, sem: SemanticInfo):
         """Random row fetch by rid; None if the slot was deleted."""
         pageno, slot = rid

@@ -87,20 +87,6 @@ class HeapPage:
             return self.rows[:]
         return [row for row in self.rows if row is not None]
 
-    def live_columns(self, positions: tuple[int, ...]) -> list[list]:
-        """The page's live rows as column arrays, one list per position.
-
-        The columnar extraction primitive of the push executor
-        (DESIGN.md §12): each requested attribute comes back as its own
-        list of values, in row (slot) order, tombstones skipped.  Column
-        lists of one page are positionally aligned — element ``i`` of
-        every list belongs to the same live row.
-        """
-        rows = self.rows
-        if self.num_deleted:
-            rows = [row for row in rows if row is not None]
-        return [[row[pos] for row in rows] for pos in positions]
-
 
 class DbFile:
     """A growable, extent-mapped sequence of pages."""

@@ -66,24 +66,6 @@ def rows_only(items):
     return (item for item in items if item is not PULSE)
 
 
-class PushConsumer:
-    """One streaming operator's slot in a push pipeline (DESIGN.md §12).
-
-    The morsel driver (:mod:`repro.db.push`) walks a pipeline's chain of
-    streaming operators bottom-up and *pushes* every morsel into their
-    consumers: ``consume(batch, out)`` transforms one input batch and
-    appends zero or more output batches to ``out``.  Consumers are
-    stateless with respect to batch boundaries — all cross-batch state
-    (builds, buffers, accumulators) belongs to pipeline breakers, which
-    implement :meth:`PlanNode.push_pipeline` instead.
-    """
-
-    __slots__ = ()
-
-    def consume(self, batch: list, out: list) -> None:
-        raise NotImplementedError
-
-
 def chunk_rows(rows, size: int = VECTOR_SIZE):
     """Group an in-memory row sequence into batches of ``size`` rows."""
     if isinstance(rows, list):
@@ -176,34 +158,6 @@ class PlanNode:
         """
         for item in self.execute(ctx):
             yield item if item is PULSE else [item]
-
-    # ------------------------------------------------------------ push mode
-
-    def push_consumer(self, ctx: ExecutionContext) -> "PushConsumer | None":
-        """This operator's :class:`PushConsumer`, or None.
-
-        Streaming single-child operators (filter, project) return a
-        consumer the morsel driver chains morsels through; everything
-        else returns None and is handled as a pipeline source, breaker,
-        or fallback (see :mod:`repro.db.push`).
-        """
-        del ctx
-        return None
-
-    def push_pipeline(self, ctx: ExecutionContext, batches) -> Iterator:
-        """Pipeline-breaker entry point for the push executor.
-
-        ``batches`` is the upstream pipeline's batch/pulse stream; the
-        breaker consumes it fully (the pipeline boundary) and yields its
-        own output batches.  Blocking operators override this — their
-        ``execute_batch`` delegates here with the child's vectorized
-        stream, so both engines share one implementation.  The driver
-        detects support by override (``type(node).push_pipeline is not
-        PlanNode.push_pipeline``); this default is never called.
-        """
-        raise NotImplementedError(
-            f"{self.label} has no push pipeline implementation"
-        )
 
     def random_refs(self, level: int) -> list[RandomOperatorRef]:
         """(oid, level) pairs this operator contributes to Rule 5's registry."""

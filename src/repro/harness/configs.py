@@ -79,12 +79,11 @@ class StorageConfig:
     use_trim: bool = True
     vectorized: bool = True
     """Batch-at-a-time execution (the default); ``False`` selects the
-    row-at-a-time reference path — simulated results are identical."""
-    executor: str | None = None
-    """Executor mode: ``"row"``, ``"vectorized"`` or ``"push"`` (the
-    morsel-driven push engine, DESIGN.md §12).  ``None`` derives the mode
-    from ``vectorized``; all three produce bit-identical simulated
-    results."""
+    row-at-a-time reference path.  A query run to completion on its own
+    has bit-identical simulated results either way; interleaved under
+    ``run_concurrent`` the two modes differ, because a quantum counts
+    items (rows, batches, pulses) whose granularity differs between the
+    modes (DESIGN.md §7)."""
     hot_tier_blocks: int = 0
     """NVMe (HOT) tier capacity for the ``tier3`` kind; 0 sizes it to a
     quarter of ``cache_blocks``."""
@@ -221,7 +220,6 @@ def build_database(config: StorageConfig) -> Database:
         btree_order=config.btree_order,
         use_trim=config.use_trim,
         vectorized=config.vectorized,
-        executor=config.executor,
         placement=config.placement,
     )
 

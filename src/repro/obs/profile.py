@@ -2,14 +2,14 @@
 
 Attributes a query's simulated time to individual plan nodes, split into
 modelled-CPU and I/O seconds, with rows/batches and buffer-pool hit
-counters per node — for all three executor modes (row, vectorized,
-push).
+counters per node — on the row and the vectorized path alike.
 
-Mechanism: every plan-node entry point the active executor uses is
-wrapped *per instance* (the classes stay untouched) with a frame that
-samples the sim clock's separate I/O and CPU accumulators around each
-``next()`` / ``consume()`` call.  Frames nest on the Python call stack;
-each frame subtracts the time its callees already claimed (the
+Mechanism: each plan node's entry point for the active path
+(``execute`` or ``execute_batch``) is wrapped *per instance* (the
+classes stay untouched) with a frame that samples the sim clock's
+separate I/O and CPU accumulators around each ``next()`` call.
+Frames nest on the Python call stack; each frame subtracts the time
+its callees already claimed (the
 ``below_*`` scratch in :class:`_Meter`), so self-times are non-negative
 by construction and every simulated second is claimed exactly once.
 Driver overhead outside any operator (engine stepping, final CPU flush,
@@ -27,10 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.levels import iter_nodes
-from repro.db import fused
-from repro.db.executor.join import Hash, HashJoin
-from repro.db.executor.scan import SeqScan
-from repro.db.plan import PULSE, PlanNode
+from repro.db.plan import PULSE
 
 
 @dataclass
@@ -49,10 +46,6 @@ class NodeProfile:
     pool_misses: int = 0
     first_seconds: float | None = None
     last_seconds: float | None = None
-    _depth: int = 0
-    """Active measurement frames for this node (same-node delegation,
-    e.g. ``execute_batch`` → ``push_pipeline``, nests frames; only the
-    outermost counts rows so nothing is double-counted)."""
 
     @property
     def self_seconds(self) -> float:
@@ -88,8 +81,7 @@ class _Meter:
 
     ``below_*`` accumulate what frames *inside* the currently-returning
     frame already claimed, so the enclosing frame books only its own
-    share.  Saved/restored per frame, so arbitrary nesting (including
-    reentrant same-node frames) stays exact.
+    share.  Saved/restored per frame, so arbitrary nesting stays exact.
     """
 
     __slots__ = ("clock", "pool", "below_io", "below_cpu", "below_hits",
@@ -125,7 +117,6 @@ class _Frame:
                       meter.below_misses)
         meter.below_io = meter.below_cpu = 0.0
         meter.below_hits = meter.below_misses = 0
-        self.prof._depth += 1
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -133,7 +124,6 @@ class _Frame:
         clock = meter.clock
         pool = meter.pool
         prof = self.prof
-        prof._depth -= 1
         d_io = clock.io_seconds - self.io0
         d_cpu = clock.cpu_seconds - self.cpu0
         d_hits = pool.hits - self.hits0
@@ -153,48 +143,21 @@ class _Frame:
 
 
 def _timed_iter(inner, prof: NodeProfile, meter: _Meter):
-    """Wrap an operator's item stream with per-``next()`` measurement.
-
-    Preserves generator return values (``StopIteration.value``) so
-    wrapped build pipelines still hand their hash table to ``yield
-    from`` consumers.
-    """
+    """Wrap an operator's item stream with per-``next()`` measurement."""
     while True:
         with _Frame(prof, meter):
             try:
                 item = next(inner)
-            except StopIteration as stop:
-                return stop.value
-        if prof._depth == 0:
-            if item is PULSE:
-                prof.pulses += 1
-            elif type(item) is list:
-                prof.batches_out += 1
-                prof.rows_out += len(item)
-            else:
-                prof.rows_out += 1
+            except StopIteration:
+                return
+        if item is PULSE:
+            prof.pulses += 1
+        elif type(item) is list:
+            prof.batches_out += 1
+            prof.rows_out += len(item)
+        else:
+            prof.rows_out += 1
         yield item
-
-
-class _TimedConsumer:
-    """Measured twin of a streaming operator's push consumer."""
-
-    __slots__ = ("inner", "prof", "meter")
-
-    def __init__(self, inner, prof: NodeProfile, meter: _Meter) -> None:
-        self.inner = inner
-        self.prof = prof
-        self.meter = meter
-
-    def consume(self, batch: list, out: list) -> None:
-        prof = self.prof
-        before = len(out)
-        with _Frame(prof, self.meter):
-            self.inner.consume(batch, out)
-        if prof._depth == 0:
-            for produced in out[before:]:
-                prof.batches_out += 1
-                prof.rows_out += len(produced)
 
 
 # ------------------------------------------------------------- installation
@@ -210,67 +173,13 @@ def _patch_stream(node, name: str, prof, meter, undo) -> None:
     undo.append(lambda: delattr(node, name))
 
 
-def _patch_consumer(node, prof, meter, undo) -> None:
-    original = node.push_consumer
-
-    def patched(ctx):
-        consumer = original(ctx)
-        if consumer is None:
-            return None
-        return _TimedConsumer(consumer, prof, meter)
-
-    node.push_consumer = patched
-    undo.append(lambda: delattr(node, "push_consumer"))
-
-
-def _patch_fused(profiles: dict, meter, undo) -> None:
-    """Route fused-kernel streams through their aggregate node's frame.
-
-    The push driver resolves ``fused.match`` as a module attribute at
-    call time, so a temporary module-level patch intercepts kernels for
-    exactly the profiled plan's nodes and leaves every other stream
-    untouched.
-    """
-    original = fused.match
-
-    def patched(node, ctx):
-        kernel = original(node, ctx)
-        if kernel is None:
-            return None
-        prof = profiles.get(id(node))
-        if prof is None:
-            return kernel
-        return _timed_iter(kernel, prof, meter)
-
-    fused.match = patched
-
-    def restore():
-        fused.match = original
-
-    undo.append(restore)
-
-
-def _install(plan, profiles: dict, executor: str, meter) -> list:
+def _install(plan, profiles: dict, vectorized: bool, meter) -> list:
+    name = "execute_batch" if vectorized else "execute"
     undo: list = []
-    for node in iter_nodes(plan):
-        prof = profiles[id(node)]
-        if executor == "row":
-            _patch_stream(node, "execute", prof, meter, undo)
-            continue
-        _patch_stream(node, "execute_batch", prof, meter, undo)
-        if executor != "push":
-            continue
-        if type(node).push_pipeline is not PlanNode.push_pipeline:
-            _patch_stream(node, "push_pipeline", prof, meter, undo)
-        _patch_consumer(node, prof, meter, undo)
-        if isinstance(node, SeqScan):
-            _patch_stream(node, "push_batches", prof, meter, undo)
-        if isinstance(node, Hash):
-            _patch_stream(node, "build_pipeline", prof, meter, undo)
-        if isinstance(node, HashJoin):
-            _patch_stream(node, "push_join", prof, meter, undo)
-    if executor == "push":
-        _patch_fused(profiles, meter, undo)
+    # A subtree shared by two parents (a reused Materialize) appears
+    # once per parent in the walk but is wrapped once.
+    for node in {id(node): node for node in iter_nodes(plan)}.values():
+        _patch_stream(node, name, profiles[id(node)], meter, undo)
     return undo
 
 
@@ -298,7 +207,8 @@ class QueryProfile:
 
     label: str
     query_id: int
-    executor: str
+    mode: str
+    """``"vectorized"`` or ``"row"``: the path the profiled run took."""
     root: NodeProfile
     sim_seconds: float
     io_seconds: float
@@ -312,7 +222,7 @@ class QueryProfile:
         return {
             "label": self.label,
             "query_id": self.query_id,
-            "executor": self.executor,
+            "mode": self.mode,
             "sim_seconds": self.sim_seconds,
             "io_seconds": self.io_seconds,
             "cpu_seconds": self.cpu_seconds,
@@ -322,7 +232,7 @@ class QueryProfile:
     def render(self) -> str:
         """Terminal rendering: one row per node, indented by depth."""
         header = (
-            f"explain analyze: {self.label} [{self.executor}]  "
+            f"explain analyze: {self.label} [{self.mode}]  "
             f"rows={self.root.rows_out}  sim={self.sim_seconds:.6f}s "
             f"(io {self.io_seconds:.6f}s + cpu {self.cpu_seconds:.6f}s)"
         )
@@ -398,7 +308,7 @@ def profile_query(
     root, profiles = _build_profiles(plan)
     clock = db.clock
     meter = _Meter(clock, db.pool)
-    undo = _install(plan, profiles, db.executor, meter)
+    undo = _install(plan, profiles, db.vectorized, meter)
     io0, cpu0 = clock.io_seconds, clock.cpu_seconds
     try:
         execution = db.start_query(plan, label, collect=True,
@@ -421,7 +331,7 @@ def profile_query(
     profile = QueryProfile(
         label=label,
         query_id=execution.query_id,
-        executor=db.executor,
+        mode="vectorized" if db.vectorized else "row",
         root=root,
         sim_seconds=result.sim_seconds,
         io_seconds=io1 - io0,

@@ -23,12 +23,10 @@ class SimClock:
     on read.  Keeping them separate makes ``now`` independent of how CPU
     charges interleave with I/O charges, which is what lets the vectorized
     executor regroup per-row CPU work into batches while producing
-    bit-identical simulated timings (DESIGN.md §7).  The same separation,
-    together with ``ExecutionContext.cpu_tick`` releasing CPU charges in
-    fixed 512-tuple chunks, is what extends the invariance to the push
-    executor's morsel-sized regrouping: all three executor modes (row,
-    vectorized, push) leave identical accumulator states at every I/O
-    submission point (DESIGN.md §12).
+    bit-identical simulated timings for a query run to completion on its
+    own (DESIGN.md §7).  Under ``run_concurrent`` the row and vectorized
+    paths interleave at different item granularity, so their timings
+    differ there.
     """
 
     __slots__ = ("_now", "_cpu", "_background")

@@ -11,7 +11,6 @@ hash aggregation — the paper's canonical sequential-request query
 (Figures 4 and 5).
 """
 
-from repro.db.columnar import cmp, col
 from repro.db.executor import HashAggregate, SeqScan, Sort
 from repro.db.exprs import agg_avg, agg_count, agg_sum
 from repro.tpch.queries.util import L, d, rel
@@ -30,32 +29,18 @@ _LS = L["l_linestatus"]
 
 
 def build(db):
-    # Each row lambda carries its declarative mirror (same computation,
-    # same operand order) so the push executor can fuse the scan and
-    # aggregation into one generated column-at-a-time kernel.
-    scan = SeqScan(
-        rel(db, "lineitem"),
-        pred=lambda r: r[_SHIP] <= _CUTOFF,
-        pred_cols=cmp(col(_SHIP), "<=", _CUTOFF),
-    )
+    scan = SeqScan(rel(db, "lineitem"), pred=lambda r: r[_SHIP] <= _CUTOFF)
     agg = HashAggregate(
         scan,
         group_key=lambda r: (r[_RF], r[_LS]),
-        group_cols=(_RF, _LS),
         aggs=[
-            agg_sum(lambda r: r[_QTY], col_expr=col(_QTY)),
-            agg_sum(lambda r: r[_PRICE], col_expr=col(_PRICE)),
-            agg_sum(
-                lambda r: r[_PRICE] * (1 - r[_DISC]),
-                col_expr=col(_PRICE) * (1 - col(_DISC)),
-            ),
-            agg_sum(
-                lambda r: r[_PRICE] * (1 - r[_DISC]) * (1 + r[_TAX]),
-                col_expr=col(_PRICE) * (1 - col(_DISC)) * (1 + col(_TAX)),
-            ),
-            agg_avg(lambda r: r[_QTY], col_expr=col(_QTY)),
-            agg_avg(lambda r: r[_PRICE], col_expr=col(_PRICE)),
-            agg_avg(lambda r: r[_DISC], col_expr=col(_DISC)),
+            agg_sum(lambda r: r[_QTY]),
+            agg_sum(lambda r: r[_PRICE]),
+            agg_sum(lambda r: r[_PRICE] * (1 - r[_DISC])),
+            agg_sum(lambda r: r[_PRICE] * (1 - r[_DISC]) * (1 + r[_TAX])),
+            agg_avg(lambda r: r[_QTY]),
+            agg_avg(lambda r: r[_PRICE]),
+            agg_avg(lambda r: r[_DISC]),
             agg_count(),
         ],
     )

@@ -4,7 +4,6 @@ A single filtered sequential scan of lineitem with a scalar aggregate —
 pure sequential traffic.
 """
 
-from repro.db.columnar import between, cmp, col
 from repro.db.executor import SeqScan, StreamAggregate
 from repro.db.exprs import agg_sum
 from repro.tpch.queries.util import L, d, rel
@@ -20,8 +19,6 @@ _QTY = L["l_quantity"]
 
 
 def build(db):
-    # Declarative mirrors of the row lambdas let the push executor fuse
-    # scan, filter and scalar aggregate into one generated kernel.
     scan = SeqScan(
         rel(db, "lineitem"),
         pred=lambda r: (
@@ -29,19 +26,8 @@ def build(db):
             and 0.05 <= r[_DISC] <= 0.07
             and r[_QTY] < 24
         ),
-        pred_cols=(
-            between(col(_SHIP), _LO, _HI, hi_incl=False)
-            & between(col(_DISC), 0.05, 0.07)
-            & cmp(col(_QTY), "<", 24)
-        ),
     )
     _PRICE = L["l_extendedprice"]
     return StreamAggregate(
-        scan,
-        aggs=[
-            agg_sum(
-                lambda r: r[_PRICE] * r[_DISC],
-                col_expr=col(_PRICE) * col(_DISC),
-            )
-        ],
+        scan, aggs=[agg_sum(lambda r: r[_PRICE] * r[_DISC])]
     )

@@ -156,13 +156,13 @@ class _FailAfter(PlanNode):
             yield item
 
 
-@pytest.mark.parametrize("executor", ["row", "vectorized", "push"])
+@pytest.mark.parametrize("mode", ["row", "vectorized"])
 class TestFailedQuery:
     """An operator that raises mid-``step()`` must not leak (ISSUE 16)."""
 
     @staticmethod
-    def _make_db(executor):
-        database = make_database(executor=executor)
+    def _make_db(mode):
+        database = make_database(vectorized=mode == "vectorized")
         for name in ("t", "u"):
             rel = database.create_table(
                 name, schema(("id", "int"), ("v", "float"))
@@ -198,8 +198,8 @@ class TestFailedQuery:
             outer_key=lambda r: r[0],
         )
 
-    def test_failure_releases_everything(self, executor):
-        db = self._make_db(executor)
+    def test_failure_releases_everything(self, mode):
+        db = self._make_db(mode)
         execution = db.start_query(self._failing_plan(db), snapshot=True)
         with pytest.raises(StorageError, match="injected"):
             execution.run_to_completion()
@@ -214,9 +214,9 @@ class TestFailedQuery:
         with pytest.raises(ExecutionError, match="failed"):
             execution.result()
 
-    def test_following_query_runs_as_on_a_fresh_database(self, executor):
-        fresh = self._make_db(executor)
-        used = self._make_db(executor)
+    def test_following_query_runs_as_on_a_fresh_database(self, mode):
+        fresh = self._make_db(mode)
+        used = self._make_db(mode)
         with pytest.raises(StorageError):
             used.run_query(self._failing_plan(used))
         traces = []
@@ -228,8 +228,8 @@ class TestFailedQuery:
         assert traces[0][1]  # the follow-up really reached storage
         assert traces[1] == traces[0]
 
-    def test_cleanup_error_does_not_mask_the_first(self, executor):
-        db = self._make_db(executor)
+    def test_cleanup_error_does_not_mask_the_first(self, mode):
+        db = self._make_db(mode)
 
         def failing_trim(file, sem):
             raise StorageError("trim failed too")

@@ -3,7 +3,7 @@
 Two invariants (DESIGN.md §14):
 
 * **closure** — per-node self-times are non-negative and sum *exactly*
-  to the query's simulated elapsed time, in every executor mode;
+  to the query's simulated elapsed time, on the row and vectorized paths;
 * **transparency** — a profiled run is bit-identical to a plain
   ``run_query`` on an identical database: same rows, same simulated
   clock, same storage counters.
@@ -20,8 +20,8 @@ from repro.tpch.workload import load_tpch
 from tests.helpers import make_database
 
 SCALE = 0.05
-EXECUTORS = ("row", "vectorized", "push")
-QUERIES = (1, 3, 6)  # aggregate, join pipeline, fused filter-aggregate
+MODES = ("row", "vectorized")
+QUERIES = (1, 3, 6)  # aggregate, join pipeline, filtered scalar aggregate
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +29,13 @@ def data():
     return generate(scale=SCALE, seed=11)
 
 
-def _make_db(data, executor, observer=None):
+def _make_db(data, mode, observer=None):
     db = make_database(
         cache_blocks=512,
         bufferpool_pages=48,
         work_mem_rows=400,
         btree_order=64,
-        executor=executor,
+        vectorized=mode == "vectorized",
         observer=observer,
     )
     load_tpch(db, data=data)
@@ -44,14 +44,14 @@ def _make_db(data, executor, observer=None):
 
 
 class TestClosure:
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("qid", QUERIES)
-    def test_self_times_sum_to_sim_elapsed(self, data, executor, qid):
-        db = _make_db(data, executor)
+    def test_self_times_sum_to_sim_elapsed(self, data, mode, qid):
+        db = _make_db(data, mode)
         profile = db.explain_analyze(
             query_builder(qid), label=query_label(qid)
         )
-        assert profile.executor == executor
+        assert profile.mode == mode
         for prof in profile.root.walk():
             assert prof.self_io_seconds >= -1e-12
             assert prof.self_cpu_seconds >= -1e-12
@@ -62,17 +62,26 @@ class TestClosure:
             profile.sim_seconds, abs=1e-9
         )
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_rows_and_counters_populated(self, data, executor):
-        db = _make_db(data, executor)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("qid", (2, 17))  # a Materialize with two parents
+    def test_shared_subtree_is_wrapped_once(self, data, mode, qid):
+        db = _make_db(data, mode)
+        profile = db.explain_analyze(
+            query_builder(qid), label=query_label(qid)
+        )
+        assert profile.root.rows_out == len(profile.result.rows)
+        assert profile.total_self_seconds() == pytest.approx(
+            profile.sim_seconds, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_and_counters_populated(self, data, mode):
+        db = _make_db(data, mode)
         profile = db.explain_analyze(query_builder(1), label="Q1")
         assert profile.root.rows_out == len(profile.result.rows) > 0
-        if executor != "push":
-            # The scan leaves actually read the table.  (In push mode
-            # the fused Q1 kernel absorbs the scan, so its rows surface
-            # at the aggregate node instead.)
-            leaves = [p for p in profile.root.walk() if not p.children]
-            assert sum(p.rows_out for p in leaves) > 0
+        # The scan leaves actually read the table.
+        leaves = [p for p in profile.root.walk() if not p.children]
+        assert sum(p.rows_out for p in leaves) > 0
         assert sum(p.pool_hits + p.pool_misses
                    for p in profile.root.walk()) > 0
         rendered = profile.render()
@@ -82,12 +91,12 @@ class TestClosure:
 
 
 class TestTransparency:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_profiled_run_is_bit_identical(self, data, executor):
-        plain = _make_db(data, executor)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_profiled_run_is_bit_identical(self, data, mode):
+        plain = _make_db(data, mode)
         result = plain.run_query(query_builder(6), label="Q6")
 
-        profiled = _make_db(data, executor)
+        profiled = _make_db(data, mode)
         profile = profiled.explain_analyze(query_builder(6), label="Q6")
 
         assert profile.result.rows == result.rows
@@ -103,10 +112,10 @@ class TestTransparency:
         )
 
     def test_plan_is_unwrapped_after_profiling(self, data):
-        db = _make_db(data, "push")
+        db = _make_db(data, "vectorized")
         db.explain_analyze(query_builder(6), label="Q6")
         # A second, unprofiled run still works and produces rows: every
-        # per-instance wrapper (and the fused.match patch) was undone.
+        # per-instance wrapper was undone.
         again = db.run_query(query_builder(6), label="Q6-again")
         assert again.rows
 

@@ -19,7 +19,6 @@ from repro.db.executor import (
     SeqScan,
     Sort,
 )
-from repro.db.columnar import col
 from repro.db.exprs import agg_count, agg_sum
 from repro.db.tuples import schema
 from repro.tpch.datagen import generate
@@ -144,7 +143,7 @@ class TestSpillDifferential:
 
 
 class TestBatchSpillDifferential:
-    """Batch-granular spilling (ISSUE 16) in all three executors.
+    """Batch-granular spilling (ISSUE 16) under both execution paths.
 
     The hash build crosses ``work_mem`` in the middle of a scan batch,
     the probe side spills whole batches, and the hash aggregate's group
@@ -156,12 +155,12 @@ class TestBatchSpillDifferential:
     ROWS = 2500
     WORK_MEM = 130
 
-    def _make_db(self, executor):
+    def _make_db(self, vectorized):
         db = make_database(
             cache_blocks=256,
             bufferpool_pages=24,
             work_mem_rows=self.WORK_MEM,
-            executor=executor,
+            vectorized=vectorized,
         )
         t = db.create_table("t", schema(("k", "int"), ("v", "int")))
         t.heap.bulk_load((i % 211, i) for i in range(self.ROWS))
@@ -191,30 +190,28 @@ class TestBatchSpillDifferential:
 
     @staticmethod
     def _fused_plan(db):
-        """Aggregate directly over a scan: the push executor's generated
-        kernel collects and routes the overflow itself."""
+        """Aggregate fused directly onto a scan: the group table fills
+        in the middle of a page batch."""
         return HashAggregate(
             SeqScan(db.catalog.relation("t")),
             group_key=lambda r: r[0],
-            group_cols=(0,),
-            aggs=[agg_sum(lambda r: r[1], col_expr=col(1)), agg_count()],
+            aggs=[agg_sum(lambda r: r[1]), agg_count()],
         )
 
     @pytest.mark.parametrize("plan", ["_join_plan", "_fused_plan"])
     def test_three_executors_identical_simulation(self, plan):
         snaps = {}
-        for executor in ("row", "vectorized", "push"):
-            db = self._make_db(executor)
+        for vectorized in (False, True):
+            db = self._make_db(vectorized)
             trace = trace_requests(db)
             result = db.run_query(getattr(self, plan), label=plan)
-            snaps[executor] = _snapshot(db, result)
-            snaps[executor]["request_trace"] = trace
-            snaps[executor]["pool_evictions"] = db.pool.evictions
-        row = snaps["row"]
+            snaps[vectorized] = _snapshot(db, result)
+            snaps[vectorized]["request_trace"] = trace
+            snaps[vectorized]["pool_evictions"] = db.pool.evictions
+        row = snaps[False]
         assert row["temp_created"] == (24 if plan == "_join_plan" else 8)
         assert row["by_type"]["TEMP_WRITE"][0] > 0
-        assert snaps["vectorized"] == row
-        assert snaps["push"] == row
+        assert snaps[True] == row
 
 
 class TestLimitDifferential:
@@ -243,25 +240,25 @@ class TestLimitDifferential:
 
 
 class TestPushDifferential:
-    """All 22 TPC-H queries: push executor vs vectorized, bit for bit.
+    """All 22 TPC-H queries: row vs vectorized, bit for bit.
 
-    One database per executor mode runs the whole query set in sequence,
-    so the comparison also covers cumulative state — the simulated clock,
-    pool counters and temp-file counts carry across queries (DESIGN.md
-    §12's three-mode invariance rule).
+    One database per execution path runs the whole query set in
+    sequence, so the comparison also covers cumulative state — the
+    simulated clock, pool counters and temp-file counts carry across
+    queries (DESIGN.md §7).
     """
 
     @pytest.fixture(scope="class")
     def runs(self):
         data = generate(scale=0.05, seed=11)
         out = {}
-        for executor in ("vectorized", "push"):
+        for vectorized in (False, True):
             db = make_database(
                 cache_blocks=512,
                 bufferpool_pages=48,
                 work_mem_rows=400,
                 btree_order=64,
-                executor=executor,
+                vectorized=vectorized,
             )
             load_tpch(db, data=data)
             db.reset_measurements()
@@ -273,12 +270,12 @@ class TestPushDifferential:
                 snap = _snapshot(db, result)
                 snap["request_trace"] = tuple(trace[start:])
                 per_query[qid] = snap
-            out[executor] = per_query
+            out[vectorized] = per_query
         return out
 
     @pytest.mark.parametrize("qid", range(1, 23))
     def test_query_identical_simulation(self, runs, qid):
-        assert runs["push"][qid] == runs["vectorized"][qid]
+        assert runs[True][qid] == runs[False][qid]
 
 
 class TestVectorizedDefault:
