@@ -9,6 +9,11 @@ row-at-a-time reference path (``vectorized=False``).
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import pathlib
+
 import pytest
 
 from repro.db.executor import (
@@ -27,6 +32,51 @@ from repro.tpch.workload import load_tpch
 from tests.helpers import make_database, trace_requests
 
 SCALE = 0.08
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "executor_traces.json"
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _fingerprint(db, result, trace) -> dict:
+    """What a run leaves in the simulated world, small enough to pin:
+    hashes stand in for the result rows and the ordered request trace."""
+    snap = _snapshot(db, result)
+    return {
+        "rows": len(result.rows),
+        "rows_sha256": _sha256(result.rows),
+        "sim_seconds": repr(result.sim_seconds),
+        "clock_now": repr(db.clock.now),
+        "clock_background": repr(db.clock.background),
+        "pool_hits": db.pool.hits,
+        "pool_misses": db.pool.misses,
+        "pool_evictions": db.pool.evictions,
+        "temp_created": db.temp.created,
+        "by_type": {name: list(counts) for name, counts in snap["by_type"].items()},
+        "requests": len(trace),
+        "trace_sha256": _sha256(tuple(trace)),
+    }
+
+
+def _check_golden(name: str, fingerprint: dict) -> None:
+    """Compare with the pinned fingerprint ``name``.
+
+    Regenerate intentionally (after a change that is *supposed* to move
+    the simulated world) with
+    ``REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_vectorized_diff.py``.
+    """
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        golden[name] = fingerprint
+        lines = (
+            f"{json.dumps(key)}: {json.dumps(golden[key], sort_keys=True)}"
+            for key in sorted(golden)
+        )
+        GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+        pytest.skip(f"golden fingerprint {name!r} regenerated")
+    assert name in golden, f"no pinned fingerprint {name!r}; regenerate"
+    assert fingerprint == golden[name]
 
 
 def _snapshot(db, result):
@@ -65,6 +115,7 @@ def _run_both(make_db, plan_builder, label):
         result = db.run_query(plan_builder, label=label)
         snaps[vectorized] = _snapshot(db, result)
         snaps[vectorized]["request_trace"] = trace
+        snaps[vectorized]["fingerprint"] = _fingerprint(db, result, trace)
     return snaps[False], snaps[True]
 
 
@@ -92,12 +143,14 @@ class TestTPCHDifferential:
             lambda v: self._make_db(data, v), query_builder(3), "Q3"
         )
         assert vec_snap == row_snap
+        _check_golden("tpch_q3", vec_snap["fingerprint"])
 
     def test_q1_identical_simulation(self, data):
         row_snap, vec_snap = _run_both(
             lambda v: self._make_db(data, v), query_builder(1), "Q1"
         )
         assert vec_snap == row_snap
+        _check_golden("tpch_q1", vec_snap["fingerprint"])
 
 
 class TestSpillDifferential:
@@ -134,12 +187,27 @@ class TestSpillDifferential:
         )
         return Sort(agg, key=lambda r: (r[0], r[1]))
 
+    def _expected_rows(self):
+        """The plan's answer, computed directly in Python."""
+        rows = [(i % 97, i) for i in range(self.ROWS)]
+        build: dict = {}
+        for k, v in rows:
+            build.setdefault(k, []).append(v % 7)
+        groups: dict = {}
+        for k, v in rows:
+            for w in build[k]:
+                total, count = groups.get((k, w), (0, 0))
+                groups[(k, w)] = (total + v, count + 1)
+        return sorted(key + value for key, value in groups.items())
+
     def test_spilling_plan_identical_simulation(self):
         row_snap, vec_snap = _run_both(
             self._make_db, self._spill_plan, "spill"
         )
         assert row_snap["temp_created"] > 0  # the plan really spilled
+        assert vec_snap["rows"] == self._expected_rows()
         assert vec_snap == row_snap
+        _check_golden("spill", vec_snap["fingerprint"])
 
 
 class TestBatchSpillDifferential:
@@ -198,6 +266,25 @@ class TestBatchSpillDifferential:
             aggs=[agg_sum(lambda r: r[1]), agg_count()],
         )
 
+    def _expected_rows(self, plan):
+        """Each plan's answer, computed directly in Python."""
+        rows = [(i % 211, i) for i in range(self.ROWS)]
+        groups: dict = {}
+        if plan == "_fused_plan":
+            for k, v in rows:
+                total, count = groups.get(k, (0, 0))
+                groups[k] = (total + v, count + 1)
+            return sorted((k,) + value for k, value in groups.items())
+        build: dict = {}
+        for k, v in rows:
+            if v % 3 == 0:
+                build.setdefault(k, []).append(v)
+        for k, v in rows:
+            for w in build.get(k, ()):
+                total, count = groups.get((k, v % 400), (0, 0))
+                groups[(k, v % 400)] = (total + w, count + 1)
+        return sorted(key + value for key, value in groups.items())
+
     @pytest.mark.parametrize("plan", ["_join_plan", "_fused_plan"])
     def test_three_executors_identical_simulation(self, plan):
         snaps = {}
@@ -208,10 +295,13 @@ class TestBatchSpillDifferential:
             snaps[vectorized] = _snapshot(db, result)
             snaps[vectorized]["request_trace"] = trace
             snaps[vectorized]["pool_evictions"] = db.pool.evictions
+            snaps[vectorized]["fingerprint"] = _fingerprint(db, result, trace)
         row = snaps[False]
         assert row["temp_created"] == (24 if plan == "_join_plan" else 8)
         assert row["by_type"]["TEMP_WRITE"][0] > 0
+        assert sorted(row["rows"]) == self._expected_rows(plan)
         assert snaps[True] == row
+        _check_golden(f"batch_spill{plan}", snaps[True]["fingerprint"])
 
 
 class TestLimitDifferential:
@@ -269,6 +359,9 @@ class TestPushDifferential:
                 result = db.run_query(query_builder(qid), label=f"Q{qid}")
                 snap = _snapshot(db, result)
                 snap["request_trace"] = tuple(trace[start:])
+                snap["fingerprint"] = _fingerprint(
+                    db, result, snap["request_trace"]
+                )
                 per_query[qid] = snap
             out[vectorized] = per_query
         return out
@@ -276,6 +369,7 @@ class TestPushDifferential:
     @pytest.mark.parametrize("qid", range(1, 23))
     def test_query_identical_simulation(self, runs, qid):
         assert runs[True][qid] == runs[False][qid]
+        _check_golden(f"tpch22_Q{qid:02d}", runs[True][qid]["fingerprint"])
 
 
 class TestVectorizedDefault:
