@@ -7,10 +7,9 @@ Three measurements of the telemetry machinery:
   one with a full Observer (metrics + tracing) attached, one without;
   rows, the simulated clock, request/block totals and buffer-pool
   counters must match exactly (gate ``obs_identical``, floor 1.0);
-* **profile closure** — ``explain_analyze`` over representative queries
-  in both executor modes; per-node self-times must sum exactly to
-  each query's simulated elapsed seconds (gate ``profile_closure``,
-  floor 1.0);
+* **profile closure** — ``explain_analyze`` over representative
+  queries; per-node self-times must sum exactly to each query's
+  simulated elapsed seconds (gate ``profile_closure``, floor 1.0);
 * **latency percentiles** — exact p50/p95/p99 per QoS class (the
   ``priority`` label on ``io_dispatch_seconds``) plus device and query
   latency histograms, recorded in the payload's ``latency`` block, which
@@ -43,18 +42,12 @@ BENCH_QUERIES = (
     tuple(POWER_ORDER) if BENCH_SCALE >= 1.0 else (1, 3, 6, 14)
 )
 CLOSURE_QUERIES = (1, 3, 6)
-EXECUTORS = ("row", "vectorized")
 SEED = 7
 
 
-def _build(data, observer=None, executor: str = "vectorized"):
+def _build(data, observer=None):
     db = build_database(
-        StorageConfig(
-            kind="hstorage",
-            bufferpool_pages=32,
-            vectorized=executor == "vectorized",
-            observer=observer,
-        )
+        StorageConfig(kind="hstorage", bufferpool_pages=32, observer=observer)
     )
     load_tpch(db, data=data)
     db.reset_measurements()
@@ -100,28 +93,24 @@ def _identity(data) -> dict:
 
 
 def _closure(data) -> dict:
-    """Max |Σ node self-time − sim elapsed| across executors/queries."""
+    """Max |Σ node self-time − sim elapsed| across the closure queries."""
     entries = []
     worst = 0.0
-    for executor in EXECUTORS:
-        db = _build(data, executor=executor)
-        for qid in CLOSURE_QUERIES:
-            profile = db.explain_analyze(
-                query_builder(qid), label=query_label(qid)
-            )
-            residual = abs(
-                profile.total_self_seconds() - profile.sim_seconds
-            )
-            worst = max(worst, residual)
-            entries.append(
-                {
-                    "executor": executor,
-                    "query": profile.label,
-                    "sim_seconds": profile.sim_seconds,
-                    "residual_seconds": residual,
-                    "nodes": sum(1 for _ in profile.root.walk()),
-                }
-            )
+    db = _build(data)
+    for qid in CLOSURE_QUERIES:
+        profile = db.explain_analyze(
+            query_builder(qid), label=query_label(qid)
+        )
+        residual = abs(profile.total_self_seconds() - profile.sim_seconds)
+        worst = max(worst, residual)
+        entries.append(
+            {
+                "query": profile.label,
+                "sim_seconds": profile.sim_seconds,
+                "residual_seconds": residual,
+                "nodes": sum(1 for _ in profile.root.walk()),
+            }
+        )
     return {"entries": entries, "worst_residual_seconds": worst}
 
 

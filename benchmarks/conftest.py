@@ -42,33 +42,6 @@ trajectory files) shares one top-level shape::
 if a recorded value regresses below its floor."""
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--executor",
-        action="store",
-        default=None,
-        choices=("row", "vectorized"),
-        help="restrict executor benchmarks to one mode "
-        "(default: compare both modes)",
-    )
-    parser.addoption(
-        "--profile",
-        action="store_true",
-        default=False,
-        help="wrap measured benchmark runs in cProfile and add the "
-        "top-20 cumulative hotspots to the JSON artifact",
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_options(request) -> dict:
-    """CLI axes for executor benchmarks (see ``pytest_addoption``)."""
-    return {
-        "executor": request.config.getoption("--executor"),
-        "profile": request.config.getoption("--profile"),
-    }
-
-
 @pytest.fixture(scope="session")
 def runner() -> ExperimentRunner:
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))

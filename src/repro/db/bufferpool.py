@@ -143,7 +143,7 @@ class BufferPool:
 
         Same requests, hit/miss accounting and LRU behaviour as
         :meth:`get_range`, but each read-ahead window's pages come back as
-        one list — the vectorized scan path's page source.
+        one list — the page source of sequential scans.
         """
         window = max(self.read_ahead, 1)
         end = start + count

@@ -115,11 +115,7 @@ class QueryExecution:
             snapshot=self.snapshot,
             mvcc=db.txn_manager.mvcc if self.snapshot is not None else None,
         )
-        self._vectorized = db.vectorized
-        if db.vectorized:
-            self._iterator = plan.execute_batch(self.ctx)
-        else:
-            self._iterator = plan.execute(self.ctx)
+        self._iterator = plan.execute_batch(self.ctx)
 
     @property
     def done(self) -> bool:
@@ -128,11 +124,11 @@ class QueryExecution:
     def step(self, quantum: int = 64) -> bool:
         """Advance up to ``quantum`` items; returns False once exhausted.
 
-        Items are output rows *or* scheduling pulses emitted inside
+        Items are row batches *or* scheduling pulses emitted inside
         blocking operator phases — both count against the quantum, so
-        co-running queries interleave at I/O-ish granularity.  On the
-        vectorized path a batch counts as its row count, and batches are
-        flattened into the result rows here, at the engine boundary.
+        co-running queries interleave at I/O-ish granularity.  A batch
+        counts as its row count, and batches are flattened into the
+        result rows here, at the engine boundary.
         """
         if self.done:
             return False
@@ -145,7 +141,6 @@ class QueryExecution:
             tracer.push(self.span)
         try:
             consumed = 0
-            vectorized = self._vectorized
             while consumed < quantum:
                 try:
                     item = next(self._iterator)
@@ -158,14 +153,9 @@ class QueryExecution:
                 if item is PULSE:
                     consumed += 1
                     continue
-                if vectorized:
-                    consumed += len(item) or 1
-                    if self.collect:
-                        self.rows.extend(item)
-                else:
-                    consumed += 1
-                    if self.collect:
-                        self.rows.append(item)
+                consumed += len(item) or 1
+                if self.collect:
+                    self.rows.extend(item)
             return True
         finally:
             if pushed:
@@ -239,7 +229,6 @@ class Database:
         work_mem_rows: int = 5000,
         btree_order: int = 128,
         use_trim: bool = True,
-        vectorized: bool = True,
         placement: str | None = None,
     ) -> None:
         self.storage = storage
@@ -247,7 +236,6 @@ class Database:
         self.params = params if params is not None else SimulationParameters()
         self.work_mem_rows = work_mem_rows
         self.btree_order = btree_order
-        self.vectorized = vectorized
 
         self.catalog = Catalog()
         self.registry = assignment.registry

@@ -14,15 +14,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.db.executor.join import SPILL_PARTITIONS, _new_partitions
+from repro.db.executor.join import _new_partitions
 from repro.db.exprs import AggSpec, AggState
-from repro.db.plan import (
-    PULSE,
-    PULSE_EVERY,
-    ExecutionContext,
-    PlanNode,
-    chunk_rows,
-)
+from repro.db.plan import PULSE, ExecutionContext, PlanNode, chunk_rows
 from repro.db.temp import route_rows
 
 KeyFn = Callable[[tuple], object]
@@ -56,38 +50,6 @@ class HashAggregate(PlanNode):
         self.having = having
         self.project = project if project is not None else _default_group_proj
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        groups: dict[object, AggState] = {}
-        partitions = None
-        group_key, aggs = self.group_key, self.aggs
-        seen = 0
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            key = group_key(row)
-            state = groups.get(key)
-            if state is None:
-                if partitions is None and len(groups) >= ctx.work_mem_rows:
-                    partitions = _new_partitions(ctx)
-                if partitions is not None:
-                    partitions[hash(key) % SPILL_PARTITIONS].append(row)
-                    continue
-                state = groups[key] = AggState(aggs)
-            state.add(row)
-
-        yield from self._emit(groups)
-        if partitions is not None:
-            for part in partitions:
-                part.finish_writing()
-            for part in partitions:
-                yield from self._aggregate(ctx, part.read_all())
-                part.delete()  # end of this partition's temp lifetime
-
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         groups: dict[object, AggState] = {}
         partitions = None
@@ -113,8 +75,8 @@ class HashAggregate(PlanNode):
                 state.add(row)
             if missed:
                 # Resident groups aggregate in place and issue no I/O, so
-                # routing the batch's overflow rows after the loop leaves
-                # every page allocation where the row path puts it.
+                # routing the batch's overflow rows after the loop puts
+                # every page allocation where a row-by-row routing would.
                 route_rows(partitions, group_key, missed)
 
         yield from chunk_rows(self._emit(groups))
@@ -138,22 +100,6 @@ class HashAggregate(PlanNode):
                     state = groups[key] = AggState(self.aggs)
                 state.add(row)
         yield from chunk_rows(self._emit(groups))
-
-    def _aggregate(self, ctx: ExecutionContext, rows) -> Iterator[tuple]:
-        groups: dict[object, AggState] = {}
-        group_key = self.group_key
-        seen = 0
-        for row in rows:
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            key = group_key(row)
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = AggState(self.aggs)
-            state.add(row)
-        yield from self._emit(groups)
 
     def _emit(self, groups: dict) -> Iterator[tuple]:
         for key, state in groups.items():
@@ -180,38 +126,6 @@ class StreamAggregate(PlanNode):
         self.group_key = group_key
         self.aggs = aggs
         self.project = project if project is not None else _default_group_proj
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        if self.group_key is None:
-            state = AggState(self.aggs)
-            seen_any = False
-            for row in self.children[0].execute(ctx):
-                if row is PULSE:
-                    yield PULSE
-                    continue
-                ctx.cpu_tick()
-                state.add(row)
-                seen_any = True
-            if seen_any:
-                yield state.results()
-            return
-
-        current_key = None
-        state: AggState | None = None
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            key = self.group_key(row)
-            if state is None or key != current_key:
-                if state is not None:
-                    yield self.project(current_key, state.results())
-                current_key = key
-                state = AggState(self.aggs)
-            state.add(row)
-        if state is not None:
-            yield self.project(current_key, state.results())
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         batches = self.children[0].execute_batch(ctx)
@@ -249,7 +163,8 @@ class StreamAggregate(PlanNode):
                     state = AggState(self.aggs)
                 state.add(row)
             # Flush finished groups per input batch (not across batches):
-            # emissions stay in the same inter-I/O gap as on the row path.
+            # each emission stays in the inter-I/O gap where its group
+            # closed.
             if out:
                 yield out
         if state is not None:

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from repro.db.errors import ExecutionError
 from repro.db.executor.scan import IndexScan
-from repro.db.plan import PULSE, PULSE_EVERY, ExecutionContext, PlanNode
+from repro.db.plan import PULSE, ExecutionContext, PlanNode
 from repro.db.temp import SpillFile, route_rows
 
 KeyFn = Callable[[tuple], object]
@@ -30,7 +30,11 @@ _JOIN_MODES = {"inner", "semi", "anti", "left"}
 
 
 class Hash(PlanNode):
-    """Blocking build-side materialisation for a hash join."""
+    """Blocking build-side materialisation for a hash join.
+
+    Not executable on its own: its :class:`HashJoin` drives the build
+    through :meth:`build_iter_batch`.
+    """
 
     is_blocking = True
 
@@ -38,57 +42,14 @@ class Hash(PlanNode):
         super().__init__(child, label=label or "Hash")
         self.key = key
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        # Standalone execution just passes rows through (useful in tests);
-        # HashJoin drives the build through :meth:`build_iter`.
-        yield from self.children[0].execute(ctx)
-
-    def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        yield from self.children[0].execute_batch(ctx)
-
-    def build_iter(self, ctx: ExecutionContext):
+    def build_iter_batch(self, ctx: ExecutionContext):
         """Consume the child, yielding pulses; returns the build result.
 
         Generator-with-return: drive it with ``yield from`` to propagate
         pulses; the return value is ``(table, None)`` for an in-memory
-        build or ``(None, partitions)`` after a grace spill.
-        """
-        key = self.key
-        rows: list[tuple] = []
-        spilled: list[SpillFile] | None = None
-        seen = 0
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            if spilled is None:
-                rows.append(row)
-                if len(rows) > ctx.work_mem_rows:
-                    spilled = _new_partitions(ctx)
-                    route_rows(spilled, key, rows)
-                    rows.clear()
-            else:
-                spilled[hash(key(row)) % SPILL_PARTITIONS].append(row)
-        if spilled is not None:
-            for part in spilled:
-                part.finish_writing()
-            return None, spilled
-        table: dict = {}
-        for row in rows:
-            table.setdefault(key(row), []).append(row)
-        return table, None
-
-    def build_iter_batch(self, ctx: ExecutionContext):
-        """Vectorized :meth:`build_iter`: batches in, same build result out.
-
-        Spills exactly when the row path does (once more than
-        ``work_mem`` rows have arrived) and routes every row in arrival
-        order, so the grace partitions — and hence the temp-file I/O —
-        are identical.
+        build or ``(None, partitions)`` after a grace spill.  The build
+        spills once more than ``work_mem`` rows have arrived and routes
+        every row in arrival order (see :func:`route_rows`).
         """
         key = self.key
         rows: list[tuple] = []
@@ -151,43 +112,6 @@ class HashJoin(PlanNode):
     def hash_node(self) -> Hash:
         return self.children[1]
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        table, partitions = yield from self.hash_node.build_iter(ctx)
-        if table is not None:
-            yield from self._join_stream(
-                ctx, self.children[0].execute(ctx), table
-            )
-            return
-        assert partitions is not None
-        probe_parts = _new_partitions(ctx)
-        probe_key = self.probe_key
-        seen = 0
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            probe_parts[hash(probe_key(row)) % SPILL_PARTITIONS].append(row)
-        for part in probe_parts:
-            part.finish_writing()
-        build_key = self.hash_node.key
-        for build_part, probe_part in zip(partitions, probe_parts):
-            table = {}
-            seen = 0
-            for row in build_part.read_all():
-                ctx.cpu_tick()
-                seen += 1
-                if seen % PULSE_EVERY == 0:
-                    yield PULSE
-                table.setdefault(build_key(row), []).append(row)
-            yield from self._join_stream(ctx, probe_part.read_all(), table)
-            # End of this partition's lifetime: evict its blocks promptly.
-            build_part.delete()
-            probe_part.delete()
-
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         table, partitions = yield from self.hash_node.build_iter_batch(ctx)
         if table is not None:
@@ -239,50 +163,17 @@ class HashJoin(PlanNode):
                 yield out
             yield PULSE
 
-    def _join_stream(
-        self, ctx: ExecutionContext, probe_rows, table: dict
-    ) -> Iterator[tuple]:
-        mode, pred, project = self.mode, self.join_pred, self.project
-        probe_key = self.probe_key
-        seen = 0
-        for row in probe_rows:
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            matches = table.get(probe_key(row), ())
-            if pred is not None:
-                matches = [m for m in matches if pred(row, m)]
-            if mode == "inner":
-                for match in matches:
-                    yield _combine(project, row, match)
-            elif mode == "semi":
-                # A semi join yields the probe row itself (the first match
-                # only witnesses existence).
-                if matches:
-                    yield project(row, matches[0]) if project else row
-            elif mode == "anti":
-                if not matches:
-                    yield _combine(project, row, None)
-            else:  # left outer
-                if matches:
-                    for match in matches:
-                        yield _combine(project, row, match)
-                else:
-                    yield _combine(project, row, None)
-
 
 def _append_matches(
     out: list, mode: str, project: PairProj | None, row: tuple, matches
 ) -> None:
-    """Append one probe row's join output to ``out`` (batch paths)."""
+    """Append one probe row's join output to ``out``."""
     if mode == "inner":
         for match in matches:
             out.append(_combine(project, row, match))
     elif mode == "semi":
+        # A semi join yields the probe row itself (the first match only
+        # witnesses existence).
         if matches:
             out.append(project(row, matches[0]) if project else row)
     elif mode == "anti":
@@ -325,38 +216,6 @@ class NestedLoopIndexJoin(PlanNode):
     def inner(self) -> IndexScan:
         return self.children[1]
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        mode, pred, project = self.mode, self.join_pred, self.project
-        outer_key, inner = self.outer_key, self.inner
-        seen = 0
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            # Every probe is (potential) random I/O: pulse per outer row.
-            seen += 1
-            if seen % 8 == 0:
-                yield PULSE
-            matches = inner.probe(ctx, outer_key(row))
-            if pred is not None:
-                matches = [m for m in matches if pred(row, m)]
-            if mode == "inner":
-                for match in matches:
-                    yield _combine(project, row, match)
-            elif mode == "semi":
-                if matches:
-                    yield project(row, matches[0]) if project else row
-            elif mode == "anti":
-                if not matches:
-                    yield _combine(project, row, None)
-            else:  # left outer
-                if matches:
-                    for match in matches:
-                        yield _combine(project, row, match)
-                else:
-                    yield _combine(project, row, None)
-
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         mode, pred, project = self.mode, self.join_pred, self.project
         outer_key, inner = self.outer_key, self.inner
@@ -367,8 +226,9 @@ class NestedLoopIndexJoin(PlanNode):
                 continue
             ctx.cpu_tick(len(item))
             for row in item:
-                # Every probe is (potential) random I/O: keep the row
-                # path's pulse-every-8-probes cadence inside the batch.
+                # Every probe is (potential) random I/O: pulse every 8
+                # probes inside the batch, so a co-running query gets
+                # its turn between runs of random reads.
                 probes += 1
                 if probes % 8 == 0:
                     yield PULSE
@@ -378,9 +238,9 @@ class NestedLoopIndexJoin(PlanNode):
                 out: list[tuple] = []
                 _append_matches(out, mode, project, row, matches)
                 # One mini-batch per outer row: a downstream random-access
-                # operator (e.g. a stacked NLIJ, as in Q21) must issue its
-                # probe for this row *before* the next probe here, or the
-                # request order would diverge from the row-at-a-time path.
+                # operator (e.g. a stacked NLIJ, as in Q21) issues its
+                # probe for this row *before* the next probe here, so the
+                # two index scans' random reads interleave row by row.
                 if out:
                     yield out
 

@@ -6,13 +6,7 @@ import heapq
 from typing import Callable, Iterator
 
 from repro.db.errors import ExecutionError
-from repro.db.plan import (
-    PULSE,
-    PULSE_EVERY,
-    ExecutionContext,
-    PlanNode,
-    chunk_rows,
-)
+from repro.db.plan import PULSE, ExecutionContext, PlanNode, chunk_rows
 
 
 class Filter(PlanNode):
@@ -22,16 +16,6 @@ class Filter(PlanNode):
                  label: str | None = None) -> None:
         super().__init__(child, label=label or "Filter")
         self.pred = pred
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        pred = self.pred
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            if pred(row):
-                yield row
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         pred = self.pred
@@ -53,15 +37,6 @@ class Project(PlanNode):
         super().__init__(child, label=label or "Project")
         self.fn = fn
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        fn = self.fn
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            yield fn(row)
-
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         fn = self.fn
         for item in self.children[0].execute_batch(ctx):
@@ -75,12 +50,8 @@ class Project(PlanNode):
 class Limit(PlanNode):
     """First-N rows.
 
-    No native ``execute_batch``: truncation is inherently row-at-a-time —
-    the row path stops pulling (and stops charging CPU) at exactly the
-    n-th output row, while a batch-granular child would have charged for
-    the whole final batch before Limit could truncate it.  The default
-    mini-batch adapter runs the subtree on the row path, keeping the
-    simulated-results invariant exact.
+    Cuts the batch that reaches the n-th row and stops pulling from its
+    child, so upstream work ends with the batch that holds that row.
     """
 
     def __init__(self, child: PlanNode, n: int, label: str | None = None) -> None:
@@ -89,18 +60,19 @@ class Limit(PlanNode):
         super().__init__(child, label=label or f"Limit({n})")
         self.n = n
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        if self.n == 0:
+    def execute_batch(self, ctx: ExecutionContext) -> Iterator:
+        remaining = self.n
+        if remaining == 0:
             return
-        produced = 0
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
+        for item in self.children[0].execute_batch(ctx):
+            if item is PULSE:
                 yield PULSE
                 continue
-            yield row
-            produced += 1
-            if produced >= self.n:
+            if len(item) >= remaining:
+                yield item[:remaining]
                 return
+            remaining -= len(item)
+            yield item
 
 
 class TopN(PlanNode):
@@ -122,21 +94,6 @@ class TopN(PlanNode):
         self.key = key
         self.n = n
         self.reverse = reverse
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        rows = []
-        seen = 0
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            rows.append(row)
-        pick = heapq.nlargest if self.reverse else heapq.nsmallest
-        yield from pick(self.n, rows, key=self.key)
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         rows: list[tuple] = []
@@ -167,17 +124,6 @@ class Materialize(PlanNode):
     def __init__(self, child: PlanNode, label: str | None = None) -> None:
         super().__init__(child, label=label or "Materialize")
         self._rows: list[tuple] | None = None
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        if self._rows is None:
-            rows: list[tuple] = []
-            for row in self.children[0].execute(ctx):
-                if row is PULSE:
-                    yield PULSE
-                    continue
-                rows.append(row)
-            self._rows = rows
-        yield from self._rows
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         if self._rows is None:

@@ -28,37 +28,14 @@ class SeqScan(PlanNode):
         self.pred = pred
         self.project = project
 
-    def _rows(self, ctx: ExecutionContext, sem: SemanticInfo) -> Iterator[tuple]:
-        """Row stream: current state, or the MVCC snapshot's view when the
-        query carries one — same page requests either way."""
-        if ctx.snapshot is not None and ctx.mvcc is not None:
-            for batch in self.relation.heap.scan_snapshot(
-                ctx.pool, sem, ctx.snapshot, ctx.mvcc
-            ):
-                yield from batch
-            return
-        for _, row in self.relation.heap.scan(ctx.pool, sem):
-            yield row
-
     def _batches(self, ctx: ExecutionContext, sem: SemanticInfo) -> Iterator[list]:
+        """Page batches: current state, or the MVCC snapshot's view when
+        the query carries one — same page requests either way."""
         if ctx.snapshot is not None and ctx.mvcc is not None:
             return self.relation.heap.scan_snapshot(
                 ctx.pool, sem, ctx.snapshot, ctx.mvcc
             )
         return self.relation.heap.scan_batches(ctx.pool, sem)
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        sem = SemanticInfo.table_scan(self.relation.oid, query_id=ctx.query_id)
-        pred, project = self.pred, self.project
-        seen = 0
-        for row in self._rows(ctx, sem):
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            if pred is not None and not pred(row):
-                continue
-            yield project(row) if project is not None else row
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         sem = SemanticInfo.table_scan(self.relation.oid, query_id=ctx.query_id)
@@ -83,9 +60,9 @@ class IndexScan(PlanNode):
     all random" (Section 4.2.2).
 
     No native ``execute_batch``: every emitted row sits between this
-    operator's own random reads (btree descent, heap fetch), so the
-    vectorized path must stay row-granular to keep the request order
-    identical — exactly what the default mini-batch adapter does.
+    operator's own random reads (btree descent, heap fetch), so its rows
+    leave through the default one-row-batch adapter, and a downstream
+    operator acts on each row before the next read here.
     """
 
     def __init__(

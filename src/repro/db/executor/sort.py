@@ -38,41 +38,6 @@ class Sort(PlanNode):
         self.key = key
         self.reverse = reverse
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        runs: list = []
-        buffer: list[tuple] = []
-        seen = 0
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            seen += 1
-            if seen % PULSE_EVERY == 0:
-                yield PULSE
-            buffer.append(row)
-            if len(buffer) > ctx.work_mem_rows:
-                runs.append(self._spill_run(ctx, buffer))
-                buffer = []
-        if not runs:
-            buffer.sort(key=self.key, reverse=self.reverse)
-            yield from buffer
-            return
-        if buffer:
-            runs.append(self._spill_run(ctx, buffer))
-        streams = [run.read_all() for run in runs]
-        emitted = 0
-        try:
-            for row in heapq.merge(*streams, key=self.key, reverse=self.reverse):
-                ctx.cpu_tick()
-                emitted += 1
-                if emitted % PULSE_EVERY == 0:
-                    yield PULSE
-                yield row
-        finally:
-            for run in runs:
-                run.delete()
-
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
         runs: list = []
         buffer: list[tuple] = []
@@ -86,8 +51,8 @@ class Sort(PlanNode):
             if len(buffer) + len(item) <= work_mem:
                 buffer.extend(item)
                 continue
-            # The batch crosses work_mem: replicate the row path's exact
-            # spill boundary (a run spills at work_mem + 1 buffered rows).
+            # The batch crosses work_mem: a run spills at exactly
+            # work_mem + 1 buffered rows, wherever the batch boundary is.
             for row in item:
                 buffer.append(row)
                 if len(buffer) > work_mem:
@@ -104,8 +69,8 @@ class Sort(PlanNode):
         try:
             # The merge pulls from the spill runs' read streams lazily, so
             # each merged row sits between run-page reads: emit one-row
-            # mini-batches (like the row path) rather than accumulating
-            # across those I/O boundaries.
+            # mini-batches rather than accumulating across those I/O
+            # boundaries.
             for row in heapq.merge(*streams, key=self.key, reverse=self.reverse):
                 ctx.cpu_tick()
                 emitted += 1

@@ -30,10 +30,10 @@ def iter_page_row_batches(
 ) -> Iterator[list]:
     """Scan a page file yielding one batch (list of live rows) per page.
 
-    The vectorized scan loop shared by heap files and spill files: pages
-    arrive one read-ahead window at a time (same requests, in the same
-    order, as a row-at-a-time `get_range` scan), each page's live rows
-    come back as a fresh list, and all-tombstone pages are skipped.
+    The scan loop shared by heap files and spill files: pages arrive one
+    read-ahead window at a time (same requests, in the same order, as a
+    `get_range` scan), each page's live rows come back as a fresh list,
+    and all-tombstone pages are skipped.
     """
     npages = file.num_pages
     if npages == 0:

@@ -2,7 +2,9 @@
 
 Plan trees are built programmatically by the workload layer (there is no
 SQL parser — DESIGN.md §6); every node implements the iterator model via a
-generator-returning :meth:`PlanNode.execute`.  Nodes satisfy the
+generator-returning :meth:`PlanNode.execute_batch` that yields row batches
+(or via a row-yielding :meth:`PlanNode.execute`, which the base class
+adapts).  Nodes satisfy the
 :class:`repro.core.levels.PlanLike` protocol, so the core level algorithms
 apply directly, and random-access operators report the (oid, level) pairs
 that Rule 5's registry needs.
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.registry import RandomOperatorRef
-from repro.db.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.bufferpool import BufferPool
@@ -47,11 +48,11 @@ class _Pulse:
 PULSE = _Pulse()
 
 PULSE_EVERY = 256
-"""Items processed between pulses inside heavy operator loops
-(row-at-a-time path; the vectorized path pulses once per batch)."""
+"""Rows processed between pulses in row-granular loops (index scans, the
+external sort's merge); batch loops pulse once per batch."""
 
 VECTOR_SIZE = 1024
-"""Target rows per batch on the vectorized path.
+"""Target rows per batch.
 
 Operators that produce rows from an in-memory source (index scans, sorts,
 aggregate emission) chunk their output at this size; page-backed scans use
@@ -109,9 +110,8 @@ class ExecutionContext:
 
         Time reaches the clock in whole ``_CPU_FLUSH_TUPLES`` chunks with
         the remainder carried over, so ``cpu_tick(n)`` emits bit-for-bit
-        the same clock advances as ``n`` single-tuple ticks — the
-        vectorized executor's per-batch charging stays exactly on the
-        row-at-a-time path's CPU-time model.
+        the same clock advances as ``n`` single-tuple ticks: how the rows
+        are grouped into batches never changes the simulated CPU time.
         """
         pending = self._pending_cpu_tuples + tuples
         if pending >= _CPU_FLUSH_TUPLES:
@@ -143,18 +143,18 @@ class PlanNode:
         return self._children
 
     def execute(self, ctx: ExecutionContext) -> Iterator[tuple]:
+        """Row-yielding body for nodes without a batch loop (see below)."""
         raise NotImplementedError
 
     def execute_batch(self, ctx: ExecutionContext) -> Iterator:
-        """Vectorized execution: yields row batches (lists) and pulses.
+        """Execution: yields row batches (lists) and pulses.
 
         The built-in operators override this with native batch loops; this
-        default adapts any row-at-a-time :meth:`execute` (custom nodes,
-        refresh streams) so a plan mixing both styles still runs under a
-        vectorized engine.  It forwards one-row mini-batches rather than
-        accumulating: ``execute`` may perform I/O between rows, and
-        regrouping across such a boundary would reorder a downstream
-        operator's requests relative to the row path.
+        default adapts a node that yields rows from :meth:`execute` (index
+        scans, custom nodes, refresh streams).  It forwards one-row
+        mini-batches rather than accumulating: ``execute`` may perform I/O
+        between rows, and regrouping across such a boundary would move a
+        downstream operator's requests after I/O that should follow them.
         """
         for item in self.execute(ctx):
             yield item if item is PULSE else [item]
@@ -179,10 +179,3 @@ class PlanNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.label!r})"
 
-
-def require_children(node: PlanNode, count: int) -> None:
-    if len(node.children) != count:
-        raise ExecutionError(
-            f"{node.label} needs exactly {count} child(ren), "
-            f"got {len(node.children)}"
-        )

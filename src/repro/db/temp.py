@@ -119,8 +119,8 @@ class SpillFile:
     def read_batches(self) -> Iterator[list]:
         """Batched consumption stream: one list of rows per temp page.
 
-        Same page requests as :meth:`read_all`; the vectorized operators
-        use this to rebuild spill partitions without per-row iteration.
+        Same page requests as :meth:`read_all`; hash joins and hash
+        aggregates use this to rebuild spill partitions a page at a time.
         """
         if self._deleted:
             raise ExecutionError("read of a deleted spill file")

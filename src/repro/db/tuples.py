@@ -75,9 +75,6 @@ class Schema:
         except KeyError:
             raise CatalogError(f"no column named {name!r}") from None
 
-    def col(self, name: str) -> Column:
-        return self.columns[self.idx(name)]
-
     @property
     def names(self) -> list[str]:
         return [c.name for c in self.columns]

@@ -31,10 +31,6 @@ LockKey = tuple
 """Resource key; row locks use ``(fileid, pageno, slot)``."""
 
 
-class LockError(ReproError):
-    """Lock-protocol misuse (releasing a lock that is not held, ...)."""
-
-
 class DeadlockError(ReproError):
     """The requesting transaction was chosen as the deadlock victim.
 
@@ -261,9 +257,6 @@ class LockManager:
 
     def is_waiting(self, txid: int) -> bool:
         return txid in self._waiting
-
-    def waiting_on(self, txid: int) -> LockKey | None:
-        return self._waiting.get(txid)
 
     def is_victim(self, txid: int) -> bool:
         return txid in self._victims

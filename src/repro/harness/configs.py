@@ -77,13 +77,6 @@ class StorageConfig:
     work_mem_rows: int = 5000
     btree_order: int = 128
     use_trim: bool = True
-    vectorized: bool = True
-    """Batch-at-a-time execution (the default); ``False`` selects the
-    row-at-a-time reference path.  A query run to completion on its own
-    has bit-identical simulated results either way; interleaved under
-    ``run_concurrent`` the two modes differ, because a quantum counts
-    items (rows, batches, pulses) whose granularity differs between the
-    modes (DESIGN.md §7)."""
     hot_tier_blocks: int = 0
     """NVMe (HOT) tier capacity for the ``tier3`` kind; 0 sizes it to a
     quarter of ``cache_blocks``."""
@@ -219,7 +212,6 @@ def build_database(config: StorageConfig) -> Database:
         work_mem_rows=config.work_mem_rows,
         btree_order=config.btree_order,
         use_trim=config.use_trim,
-        vectorized=config.vectorized,
         placement=config.placement,
     )
 

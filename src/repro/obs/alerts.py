@@ -129,12 +129,6 @@ class AlertLog:
         self.events.append(event)
         return event
 
-    def firings(self, rule: str | None = None) -> list[AlertEvent]:
-        return [
-            e for e in self.events
-            if e.state == FIRING and (rule is None or e.rule == rule)
-        ]
-
     def first_firing_epoch(self) -> int | None:
         """Epoch of the earliest FIRING transition, if any fired."""
         for event in self.events:

@@ -2,11 +2,10 @@
 
 Attributes a query's simulated time to individual plan nodes, split into
 modelled-CPU and I/O seconds, with rows/batches and buffer-pool hit
-counters per node — on the row and the vectorized path alike.
+counters per node.
 
-Mechanism: each plan node's entry point for the active path
-(``execute`` or ``execute_batch``) is wrapped *per instance* (the
-classes stay untouched) with a frame that samples the sim clock's
+Mechanism: each plan node's ``execute_batch`` is wrapped *per instance*
+(the classes stay untouched) with a frame that samples the sim clock's
 separate I/O and CPU accumulators around each ``next()`` call.
 Frames nest on the Python call stack; each frame subtracts the time
 its callees already claimed (the
@@ -152,34 +151,31 @@ def _timed_iter(inner, prof: NodeProfile, meter: _Meter):
                 return
         if item is PULSE:
             prof.pulses += 1
-        elif type(item) is list:
+        else:
             prof.batches_out += 1
             prof.rows_out += len(item)
-        else:
-            prof.rows_out += 1
         yield item
 
 
 # ------------------------------------------------------------- installation
 
 
-def _patch_stream(node, name: str, prof, meter, undo) -> None:
-    original = getattr(node, name)
+def _patch_stream(node, prof, meter, undo) -> None:
+    original = node.execute_batch
 
     def patched(*args, **kwargs):
         return _timed_iter(original(*args, **kwargs), prof, meter)
 
-    setattr(node, name, patched)
-    undo.append(lambda: delattr(node, name))
+    node.execute_batch = patched
+    undo.append(lambda: delattr(node, "execute_batch"))
 
 
-def _install(plan, profiles: dict, vectorized: bool, meter) -> list:
-    name = "execute_batch" if vectorized else "execute"
+def _install(plan, profiles: dict, meter) -> list:
     undo: list = []
     # A subtree shared by two parents (a reused Materialize) appears
     # once per parent in the walk but is wrapped once.
     for node in {id(node): node for node in iter_nodes(plan)}.values():
-        _patch_stream(node, name, profiles[id(node)], meter, undo)
+        _patch_stream(node, profiles[id(node)], meter, undo)
     return undo
 
 
@@ -207,8 +203,6 @@ class QueryProfile:
 
     label: str
     query_id: int
-    mode: str
-    """``"vectorized"`` or ``"row"``: the path the profiled run took."""
     root: NodeProfile
     sim_seconds: float
     io_seconds: float
@@ -222,7 +216,6 @@ class QueryProfile:
         return {
             "label": self.label,
             "query_id": self.query_id,
-            "mode": self.mode,
             "sim_seconds": self.sim_seconds,
             "io_seconds": self.io_seconds,
             "cpu_seconds": self.cpu_seconds,
@@ -232,7 +225,7 @@ class QueryProfile:
     def render(self) -> str:
         """Terminal rendering: one row per node, indented by depth."""
         header = (
-            f"explain analyze: {self.label} [{self.mode}]  "
+            f"explain analyze: {self.label}  "
             f"rows={self.root.rows_out}  sim={self.sim_seconds:.6f}s "
             f"(io {self.io_seconds:.6f}s + cpu {self.cpu_seconds:.6f}s)"
         )
@@ -308,7 +301,7 @@ def profile_query(
     root, profiles = _build_profiles(plan)
     clock = db.clock
     meter = _Meter(clock, db.pool)
-    undo = _install(plan, profiles, db.vectorized, meter)
+    undo = _install(plan, profiles, meter)
     io0, cpu0 = clock.io_seconds, clock.cpu_seconds
     try:
         execution = db.start_query(plan, label, collect=True,
@@ -331,7 +324,6 @@ def profile_query(
     profile = QueryProfile(
         label=label,
         query_id=execution.query_id,
-        mode="vectorized" if db.vectorized else "row",
         root=root,
         sim_seconds=result.sim_seconds,
         io_seconds=io1 - io0,

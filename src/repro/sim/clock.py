@@ -21,12 +21,9 @@ class SimClock:
     Foreground time is kept in two accumulators — I/O service time
     (:meth:`advance`) and modelled CPU time (:meth:`advance_cpu`) — summed
     on read.  Keeping them separate makes ``now`` independent of how CPU
-    charges interleave with I/O charges, which is what lets the vectorized
-    executor regroup per-row CPU work into batches while producing
-    bit-identical simulated timings for a query run to completion on its
-    own (DESIGN.md §7).  Under ``run_concurrent`` the row and vectorized
-    paths interleave at different item granularity, so their timings
-    differ there.
+    charges interleave with I/O charges, which is what lets the executor
+    charge per-row CPU work a batch at a time without changing a query's
+    simulated timing (DESIGN.md §7).
     """
 
     __slots__ = ("_now", "_cpu", "_background")

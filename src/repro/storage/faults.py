@@ -303,12 +303,6 @@ class FaultPlan:
 
     # -------------------------------------------------------- reporting
 
-    @property
-    def injected_corruptions(self) -> int:
-        return self.counters[FaultKind.CORRUPT.value] + self.counters[
-            FaultKind.TORN_WRITE.value
-        ]
-
     def remaining_corrupt(self) -> dict[str, tuple[int, ...]]:
         """Blocks still flagged bad, per device (the audit's worklist)."""
         return {

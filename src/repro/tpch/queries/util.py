@@ -63,22 +63,6 @@ class ScalarThresholdFilter(PlanNode):
         super().__init__(child, scalar_plan, label=label or "ScalarFilter")
         self.pred = pred
 
-    def execute(self, ctx: ExecutionContext):
-        scalar = None
-        for item in self.children[1].execute(ctx):
-            if item is PULSE:
-                yield PULSE
-            elif scalar is None:
-                scalar = item[0]
-        pred = self.pred
-        for row in self.children[0].execute(ctx):
-            if row is PULSE:
-                yield PULSE
-                continue
-            ctx.cpu_tick()
-            if pred(row, scalar):
-                yield row
-
     def execute_batch(self, ctx: ExecutionContext):
         scalar = None
         for item in self.children[1].execute_batch(ctx):

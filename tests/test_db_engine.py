@@ -146,23 +146,23 @@ class _FailAfter(PlanNode):
         super().__init__(child, label="FailAfter")
         self.rows = rows
 
-    def execute(self, ctx):
+    def execute_batch(self, ctx):
         passed = 0
-        for item in self.children[0].execute(ctx):
+        for item in self.children[0].execute_batch(ctx):
             if item is not PULSE:
                 if passed == self.rows:
                     raise StorageError("injected mid-query failure")
-                passed += 1
+                item = item[:self.rows - passed]
+                passed += len(item)
             yield item
 
 
-@pytest.mark.parametrize("mode", ["row", "vectorized"])
 class TestFailedQuery:
     """An operator that raises mid-``step()`` must not leak (ISSUE 16)."""
 
     @staticmethod
-    def _make_db(mode):
-        database = make_database(vectorized=mode == "vectorized")
+    def _make_db():
+        database = make_database()
         for name in ("t", "u"):
             rel = database.create_table(
                 name, schema(("id", "int"), ("v", "float"))
@@ -198,8 +198,8 @@ class TestFailedQuery:
             outer_key=lambda r: r[0],
         )
 
-    def test_failure_releases_everything(self, mode):
-        db = self._make_db(mode)
+    def test_failure_releases_everything(self):
+        db = self._make_db()
         execution = db.start_query(self._failing_plan(db), snapshot=True)
         with pytest.raises(StorageError, match="injected"):
             execution.run_to_completion()
@@ -214,9 +214,9 @@ class TestFailedQuery:
         with pytest.raises(ExecutionError, match="failed"):
             execution.result()
 
-    def test_following_query_runs_as_on_a_fresh_database(self, mode):
-        fresh = self._make_db(mode)
-        used = self._make_db(mode)
+    def test_following_query_runs_as_on_a_fresh_database(self):
+        fresh = self._make_db()
+        used = self._make_db()
         with pytest.raises(StorageError):
             used.run_query(self._failing_plan(used))
         traces = []
@@ -228,8 +228,8 @@ class TestFailedQuery:
         assert traces[0][1]  # the follow-up really reached storage
         assert traces[1] == traces[0]
 
-    def test_cleanup_error_does_not_mask_the_first(self, mode):
-        db = self._make_db(mode)
+    def test_cleanup_error_does_not_mask_the_first(self):
+        db = self._make_db()
 
         def failing_trim(file, sem):
             raise StorageError("trim failed too")

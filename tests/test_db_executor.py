@@ -306,6 +306,13 @@ class TestMisc:
         assert first == second == ROWS_A
         assert db.storage.stats.overall.total.requests == 0
 
+    def test_limit_stops_pulling_after_n_rows(self, db):
+        big = db.create_table("big", schema(("k", "int"), ("v", "int")))
+        big.heap.bulk_load((i, i) for i in range(20000))
+        db.reset_measurements()
+        assert run(db, Limit(SeqScan(big), n=3)) == [(0, 0), (1, 1), (2, 2)]
+        assert 0 < db.pool.misses < big.heap.num_pages
+
     def test_limit_zero(self, db):
         assert run(db, Limit(SeqScan(db.catalog.relation("a")), n=0)) == []
 

@@ -3,10 +3,10 @@
 One checked-in fingerprint — request-type counts, cache counters, result
 hashes and the exact final simulated clock — for Q1/Q6 at a fixed
 scale/seed under the hstorage configuration.  Every run must reproduce
-it bit-for-bit.  The pairwise diff tests (vectorized vs row-at-a-time)
-only catch the two modes drifting *apart*; this catches both drifting
-*together* — a changed request stream, altered cache accounting, or a
-float landing differently anywhere in the timing model.
+it bit-for-bit, so it catches a changed request stream, altered cache
+accounting, or a float landing differently anywhere in the timing model.
+It also pins per-type cache hits and write-buffer flushes, which the
+executor traces (``tests/test_vectorized_diff.py``) leave out.
 
 Regenerate intentionally (after a PR that is *supposed* to change the
 simulated world) with:

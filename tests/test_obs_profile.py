@@ -3,7 +3,7 @@
 Two invariants (DESIGN.md §14):
 
 * **closure** — per-node self-times are non-negative and sum *exactly*
-  to the query's simulated elapsed time, on the row and vectorized paths;
+  to the query's simulated elapsed time;
 * **transparency** — a profiled run is bit-identical to a plain
   ``run_query`` on an identical database: same rows, same simulated
   clock, same storage counters.
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.executor import Limit, SeqScan
+from repro.db.tuples import schema
 from repro.obs import Observer
 from repro.tpch.datagen import generate
 from repro.tpch.queries import query_builder, query_label
@@ -20,7 +22,6 @@ from repro.tpch.workload import load_tpch
 from tests.helpers import make_database
 
 SCALE = 0.05
-MODES = ("row", "vectorized")
 QUERIES = (1, 3, 6)  # aggregate, join pipeline, filtered scalar aggregate
 
 
@@ -29,13 +30,12 @@ def data():
     return generate(scale=SCALE, seed=11)
 
 
-def _make_db(data, mode, observer=None):
+def _make_db(data, observer=None):
     db = make_database(
         cache_blocks=512,
         bufferpool_pages=48,
         work_mem_rows=400,
         btree_order=64,
-        vectorized=mode == "vectorized",
         observer=observer,
     )
     load_tpch(db, data=data)
@@ -44,14 +44,12 @@ def _make_db(data, mode, observer=None):
 
 
 class TestClosure:
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("qid", QUERIES)
-    def test_self_times_sum_to_sim_elapsed(self, data, mode, qid):
-        db = _make_db(data, mode)
+    def test_self_times_sum_to_sim_elapsed(self, data, qid):
+        db = _make_db(data)
         profile = db.explain_analyze(
             query_builder(qid), label=query_label(qid)
         )
-        assert profile.mode == mode
         for prof in profile.root.walk():
             assert prof.self_io_seconds >= -1e-12
             assert prof.self_cpu_seconds >= -1e-12
@@ -62,10 +60,9 @@ class TestClosure:
             profile.sim_seconds, abs=1e-9
         )
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("qid", (2, 17))  # a Materialize with two parents
-    def test_shared_subtree_is_wrapped_once(self, data, mode, qid):
-        db = _make_db(data, mode)
+    def test_shared_subtree_is_wrapped_once(self, data, qid):
+        db = _make_db(data)
         profile = db.explain_analyze(
             query_builder(qid), label=query_label(qid)
         )
@@ -74,9 +71,8 @@ class TestClosure:
             profile.sim_seconds, abs=1e-9
         )
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_rows_and_counters_populated(self, data, mode):
-        db = _make_db(data, mode)
+    def test_rows_and_counters_populated(self, data):
+        db = _make_db(data)
         profile = db.explain_analyze(query_builder(1), label="Q1")
         assert profile.root.rows_out == len(profile.result.rows) > 0
         # The scan leaves actually read the table.
@@ -90,13 +86,32 @@ class TestClosure:
         assert as_dict["plan"]["children"], "plan tree should nest"
 
 
+    def test_scan_under_limit_keeps_its_own_rows_and_io(self):
+        """Limit pulls its child's batches through the profiled entry
+        point, so the scan below it is measured, not folded into Limit."""
+        db = make_database()
+        t = db.create_table("t", schema(("k", "int"), ("v", "int")))
+        t.heap.bulk_load((i, i * 2) for i in range(2000))
+        db.reset_measurements()
+        profile = db.explain_analyze(
+            Limit(SeqScan(t, pred=lambda r: r[0] % 3 == 0), n=17),
+            label="limit",
+        )
+        assert len(profile.result.rows) == 17
+        (scan,) = profile.root.children
+        assert scan.op == "SeqScan"
+        assert scan.rows_out >= 17
+        assert scan.pool_misses > 0 and scan.self_io_seconds > 0
+        assert profile.root.pool_misses == 0
+        assert profile.root.self_io_seconds == pytest.approx(0.0, abs=1e-12)
+
+
 class TestTransparency:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_profiled_run_is_bit_identical(self, data, mode):
-        plain = _make_db(data, mode)
+    def test_profiled_run_is_bit_identical(self, data):
+        plain = _make_db(data)
         result = plain.run_query(query_builder(6), label="Q6")
 
-        profiled = _make_db(data, mode)
+        profiled = _make_db(data)
         profile = profiled.explain_analyze(query_builder(6), label="Q6")
 
         assert profile.result.rows == result.rows
@@ -112,7 +127,7 @@ class TestTransparency:
         )
 
     def test_plan_is_unwrapped_after_profiling(self, data):
-        db = _make_db(data, "vectorized")
+        db = _make_db(data)
         db.explain_analyze(query_builder(6), label="Q6")
         # A second, unprofiled run still works and produces rows: every
         # per-instance wrapper was undone.
@@ -123,7 +138,7 @@ class TestTransparency:
 class TestSpanEmission:
     def test_operator_spans_attach_under_query_span(self, data):
         obs = Observer()
-        db = _make_db(data, "vectorized", observer=obs)
+        db = _make_db(data, observer=obs)
         obs.reset()
         profile = db.explain_analyze(query_builder(6), label="Q6")
         roots = obs.tracer.roots

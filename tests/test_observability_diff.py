@@ -44,13 +44,12 @@ def _snapshot(db, result):
     }
 
 
-def _build(data, vectorized, observer=None):
+def _build(data, observer=None):
     db = make_database(
         cache_blocks=512,
         bufferpool_pages=48,
         work_mem_rows=400,
         btree_order=64,
-        vectorized=vectorized,
         observer=observer,
     )
     load_tpch(db, data=data)
@@ -66,13 +65,13 @@ def data():
 
 
 class TestObserverBitIdentity:
-    """All 22 queries, one long-lived database per arm (vectorized)."""
+    """All 22 queries, one long-lived database per arm."""
 
     @pytest.fixture(scope="class")
     def snapshots(self, data):
         arms = {}
         for name, observer in (("off", None), ("on", Observer())):
-            db = _build(data, True, observer)
+            db = _build(data, observer)
             trace = trace_requests(db)
             per_query = {}
             for qid in ALL_QUERIES:
@@ -90,27 +89,10 @@ class TestObserverBitIdentity:
         assert snapshots["off"][qid] == snapshots["on"][qid]
 
 
-class TestObserverBitIdentityOtherExecutors:
-    """Spot checks on the row path (Q1, Q6, Q3)."""
-
-    @pytest.mark.parametrize("mode", ("row",))
-    @pytest.mark.parametrize("qid", (1, 3, 6))
-    def test_query_identical(self, data, mode, qid):
-        snaps = {}
-        for name, observer in (("off", None), ("on", Observer())):
-            db = _build(data, False, observer)
-            trace = trace_requests(db)
-            result = db.run_query(query_builder(qid), label=query_label(qid))
-            snap = _snapshot(db, result)
-            snap["request_trace"] = trace
-            snaps[name] = snap
-        assert snaps["off"] == snaps["on"]
-
-
 class TestTelemetryDeterminism:
     def _telemetry(self, data):
         obs = Observer()
-        db = _build(data, True, obs)
+        db = _build(data, obs)
         for qid in (1, 6, 14):
             db.run_query(query_builder(qid), label=query_label(qid))
         db.storage_manager.recovery_summary()  # publish recovery gauges
@@ -121,7 +103,7 @@ class TestTelemetryDeterminism:
 
     def test_telemetry_carries_latency_histograms(self, data):
         obs = Observer()
-        db = _build(data, True, obs)
+        db = _build(data, obs)
         db.run_query(query_builder(6), label="Q6")
         telemetry = obs.telemetry()
         hists = telemetry["metrics"]["histograms"]
@@ -133,7 +115,7 @@ class TestTelemetryDeterminism:
 
     def test_disabled_observer_records_nothing(self, data):
         obs = Observer(enabled=False)
-        db = _build(data, True, obs)
+        db = _build(data, obs)
         db.run_query(query_builder(6), label="Q6")
         snap = obs.metrics.snapshot()
         assert snap == {"counters": {}, "gauges": {}, "histograms": {}}

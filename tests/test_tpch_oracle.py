@@ -401,10 +401,6 @@ def assert_same_rows(got: list, want: list, ordered: bool) -> None:
         assert _same_row(g, w), f"row {pos}: engine {g!r}, oracle {w!r}"
 
 
-def test_every_query_has_sql():
-    assert sorted(SQL) == QUERY_IDS
-
-
 @pytest.mark.parametrize("qid", QUERY_IDS)
 def test_query_matches_sqlite(db, oracle, qid):
     want = oracle.execute(SQL[qid]).fetchall()

@@ -1,10 +1,18 @@
-"""Differential tests: vectorized vs row-at-a-time execution.
+"""Pinned executor traces: what a plan does to the simulated world.
 
-The vectorization invariant (ISSUE 2, DESIGN.md §7): batch-at-a-time
-execution changes only real wall-clock time.  The simulated world —
-request counts per type, blocks, buffer-pool hit/miss accounting, the
-final simulated clock and the result rows — must be bit-identical to the
-row-at-a-time reference path (``vectorized=False``).
+Each test runs a plan and compares a fingerprint of the run with the one
+pinned in ``tests/golden/executor_traces.json``: a hash of the result
+rows, the simulated clock, the pool counters, the temp files created,
+the per-type request counts and a hash of the ordered request trace
+(DESIGN.md §7).  The fingerprints were recorded while a row-at-a-time
+executor still ran beside the batch executor and matched it bit for bit.
+Whether the rows are *right* is checked independently: by
+``tests/test_tpch_oracle.py`` and by the plain-Python references below.
+
+Regenerate intentionally (after a change that is *supposed* to move the
+simulated world) with
+
+    REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_vectorized_diff.py
 """
 
 from __future__ import annotations
@@ -16,14 +24,7 @@ import pathlib
 
 import pytest
 
-from repro.db.executor import (
-    Hash,
-    HashAggregate,
-    HashJoin,
-    Limit,
-    SeqScan,
-    Sort,
-)
+from repro.db.executor import Hash, HashAggregate, HashJoin, SeqScan, Sort
 from repro.db.exprs import agg_count, agg_sum
 from repro.db.tuples import schema
 from repro.tpch.datagen import generate
@@ -42,7 +43,7 @@ def _sha256(value) -> str:
 def _fingerprint(db, result, trace) -> dict:
     """What a run leaves in the simulated world, small enough to pin:
     hashes stand in for the result rows and the ordered request trace."""
-    snap = _snapshot(db, result)
+    by_type = db.storage.stats.overall.by_type
     return {
         "rows": len(result.rows),
         "rows_sha256": _sha256(result.rows),
@@ -53,19 +54,17 @@ def _fingerprint(db, result, trace) -> dict:
         "pool_misses": db.pool.misses,
         "pool_evictions": db.pool.evictions,
         "temp_created": db.temp.created,
-        "by_type": {name: list(counts) for name, counts in snap["by_type"].items()},
+        "by_type": {
+            rtype.name: [counts.requests, counts.blocks]
+            for rtype, counts in by_type.items()
+        },
         "requests": len(trace),
         "trace_sha256": _sha256(tuple(trace)),
     }
 
 
 def _check_golden(name: str, fingerprint: dict) -> None:
-    """Compare with the pinned fingerprint ``name``.
-
-    Regenerate intentionally (after a change that is *supposed* to move
-    the simulated world) with
-    ``REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_vectorized_diff.py``.
-    """
+    """Compare with the pinned fingerprint ``name`` (or re-pin it)."""
     golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         golden[name] = fingerprint
@@ -79,91 +78,50 @@ def _check_golden(name: str, fingerprint: dict) -> None:
     assert fingerprint == golden[name]
 
 
-def _snapshot(db, result):
-    """Everything about a run that vectorization must not change."""
-    overall = db.storage.stats.overall
-    return {
-        "rows": result.rows,
-        "sim_seconds": result.sim_seconds,
-        "clock_now": db.clock.now,
-        "clock_background": db.clock.background,
-        "total_requests": overall.total.requests,
-        "total_blocks": overall.total.blocks,
-        "by_type": {
-            rtype.name: (counts.requests, counts.blocks)
-            for rtype, counts in sorted(
-                overall.by_type.items(), key=lambda kv: kv[0].name
-            )
-        },
-        "pool_hits": db.pool.hits,
-        "pool_misses": db.pool.misses,
-        "temp_created": db.temp.created,
-    }
-
-
-def _run_both(make_db, plan_builder, label):
-    """Run one plan on two identical databases, one per execution mode.
-
-    Each snapshot carries the full ordered request trace: the invariant
-    is *same requests in the same order* (DESIGN.md §7), not merely the
-    same totals.
-    """
-    snaps = {}
-    for vectorized in (False, True):
-        db = make_db(vectorized)
-        trace = trace_requests(db)
-        result = db.run_query(plan_builder, label=label)
-        snaps[vectorized] = _snapshot(db, result)
-        snaps[vectorized]["request_trace"] = trace
-        snaps[vectorized]["fingerprint"] = _fingerprint(db, result, trace)
-    return snaps[False], snaps[True]
+def _run(db, plan_builder, label):
+    """Run one plan, recording every request that reaches storage."""
+    trace = trace_requests(db)
+    result = db.run_query(plan_builder, label=label)
+    return result, _fingerprint(db, result, trace)
 
 
 class TestTPCHDifferential:
-    """One representative TPC-H query under both execution paths."""
+    """One join query and one aggregate query on a small, spilling setup."""
 
     @pytest.fixture(scope="class")
     def data(self):
         return generate(scale=SCALE, seed=7)
 
-    def _make_db(self, data, vectorized):
+    def _make_db(self, data):
         db = make_database(
             cache_blocks=512,
             bufferpool_pages=48,
             work_mem_rows=400,
             btree_order=64,
-            vectorized=vectorized,
         )
         load_tpch(db, data=data)
         db.reset_measurements()
         return db
 
     def test_q3_identical_simulation(self, data):
-        row_snap, vec_snap = _run_both(
-            lambda v: self._make_db(data, v), query_builder(3), "Q3"
-        )
-        assert vec_snap == row_snap
-        _check_golden("tpch_q3", vec_snap["fingerprint"])
+        _, fingerprint = _run(self._make_db(data), query_builder(3), "Q3")
+        _check_golden("tpch_q3", fingerprint)
 
     def test_q1_identical_simulation(self, data):
-        row_snap, vec_snap = _run_both(
-            lambda v: self._make_db(data, v), query_builder(1), "Q1"
-        )
-        assert vec_snap == row_snap
-        _check_golden("tpch_q1", vec_snap["fingerprint"])
+        _, fingerprint = _run(self._make_db(data), query_builder(1), "Q1")
+        _check_golden("tpch_q1", fingerprint)
 
 
 class TestSpillDifferential:
-    """Grace hash join + external sort + agg spill under both paths."""
+    """Grace hash join + external sort + agg spill."""
 
     ROWS = 3000
 
-    def _make_db(self, vectorized):
+    def _make_db(self):
         db = make_database(
             cache_blocks=256,
             bufferpool_pages=24,
             work_mem_rows=150,  # far below ROWS: every blocking op spills
-            vectorized=vectorized,
         )
         t = db.create_table("t", schema(("k", "int"), ("v", "int")))
         t.heap.bulk_load((i % 97, i) for i in range(self.ROWS))
@@ -201,34 +159,31 @@ class TestSpillDifferential:
         return sorted(key + value for key, value in groups.items())
 
     def test_spilling_plan_identical_simulation(self):
-        row_snap, vec_snap = _run_both(
-            self._make_db, self._spill_plan, "spill"
-        )
-        assert row_snap["temp_created"] > 0  # the plan really spilled
-        assert vec_snap["rows"] == self._expected_rows()
-        assert vec_snap == row_snap
-        _check_golden("spill", vec_snap["fingerprint"])
+        db = self._make_db()
+        result, fingerprint = _run(db, self._spill_plan, "spill")
+        assert db.temp.created > 0  # the plan really spilled
+        assert result.rows == self._expected_rows()
+        _check_golden("spill", fingerprint)
 
 
 class TestBatchSpillDifferential:
-    """Batch-granular spilling (ISSUE 16) under both execution paths.
+    """Batch-granular spilling.
 
     The hash build crosses ``work_mem`` in the middle of a scan batch,
     the probe side spills whole batches, and the hash aggregate's group
     table fills in the middle of a join-output batch, so its overflow
     rows are a strict subset of their batch.  Routing must still place
-    every temp page where the row executor places it.
+    every temp page where a row-by-row routing places it.
     """
 
     ROWS = 2500
     WORK_MEM = 130
 
-    def _make_db(self, vectorized):
+    def _make_db(self):
         db = make_database(
             cache_blocks=256,
             bufferpool_pages=24,
             work_mem_rows=self.WORK_MEM,
-            vectorized=vectorized,
         )
         t = db.create_table("t", schema(("k", "int"), ("v", "int")))
         t.heap.bulk_load((i % 211, i) for i in range(self.ROWS))
@@ -287,94 +242,40 @@ class TestBatchSpillDifferential:
 
     @pytest.mark.parametrize("plan", ["_join_plan", "_fused_plan"])
     def test_three_executors_identical_simulation(self, plan):
-        snaps = {}
-        for vectorized in (False, True):
-            db = self._make_db(vectorized)
-            trace = trace_requests(db)
-            result = db.run_query(getattr(self, plan), label=plan)
-            snaps[vectorized] = _snapshot(db, result)
-            snaps[vectorized]["request_trace"] = trace
-            snaps[vectorized]["pool_evictions"] = db.pool.evictions
-            snaps[vectorized]["fingerprint"] = _fingerprint(db, result, trace)
-        row = snaps[False]
-        assert row["temp_created"] == (24 if plan == "_join_plan" else 8)
-        assert row["by_type"]["TEMP_WRITE"][0] > 0
-        assert sorted(row["rows"]) == self._expected_rows(plan)
-        assert snaps[True] == row
-        _check_golden(f"batch_spill{plan}", snaps[True]["fingerprint"])
-
-
-class TestLimitDifferential:
-    """Truncation over a *streaming* child: the row path stops pulling —
-    and stops charging upstream CPU — at exactly the n-th row, so Limit
-    must run its subtree row-granular to stay bit-identical."""
-
-    def _make_db(self, vectorized):
-        db = make_database(vectorized=vectorized)
-        t = db.create_table("t", schema(("k", "int"), ("v", "int")))
-        t.heap.bulk_load((i, i * 2) for i in range(2000))
-        db.reset_measurements()
-        return db
-
-    def test_limit_over_streaming_scan_identical_simulation(self):
-        row_snap, vec_snap = _run_both(
-            self._make_db,
-            lambda db: Limit(
-                SeqScan(db.catalog.relation("t"), pred=lambda r: r[0] % 3 == 0),
-                n=17,
-            ),
-            "limit",
-        )
-        assert len(row_snap["rows"]) == 17
-        assert vec_snap == row_snap
+        db = self._make_db()
+        result, fingerprint = _run(db, getattr(self, plan), plan)
+        assert db.temp.created == (24 if plan == "_join_plan" else 8)
+        assert fingerprint["by_type"]["TEMP_WRITE"][0] > 0
+        assert sorted(result.rows) == self._expected_rows(plan)
+        _check_golden(f"batch_spill{plan}", fingerprint)
 
 
 class TestPushDifferential:
-    """All 22 TPC-H queries: row vs vectorized, bit for bit.
+    """All 22 TPC-H queries, each against its pinned fingerprint.
 
-    One database per execution path runs the whole query set in
-    sequence, so the comparison also covers cumulative state — the
-    simulated clock, pool counters and temp-file counts carry across
-    queries (DESIGN.md §7).
+    One database runs the whole query set in sequence, so the pins also
+    cover cumulative state — the simulated clock, pool counters and
+    temp-file counts carry across queries (DESIGN.md §7).
     """
 
     @pytest.fixture(scope="class")
-    def runs(self):
-        data = generate(scale=0.05, seed=11)
+    def fingerprints(self):
+        db = make_database(
+            cache_blocks=512,
+            bufferpool_pages=48,
+            work_mem_rows=400,
+            btree_order=64,
+        )
+        load_tpch(db, data=generate(scale=0.05, seed=11))
+        db.reset_measurements()
+        trace = trace_requests(db)
         out = {}
-        for vectorized in (False, True):
-            db = make_database(
-                cache_blocks=512,
-                bufferpool_pages=48,
-                work_mem_rows=400,
-                btree_order=64,
-                vectorized=vectorized,
-            )
-            load_tpch(db, data=data)
-            db.reset_measurements()
-            trace = trace_requests(db)
-            per_query = {}
-            for qid in range(1, 23):
-                start = len(trace)
-                result = db.run_query(query_builder(qid), label=f"Q{qid}")
-                snap = _snapshot(db, result)
-                snap["request_trace"] = tuple(trace[start:])
-                snap["fingerprint"] = _fingerprint(
-                    db, result, snap["request_trace"]
-                )
-                per_query[qid] = snap
-            out[vectorized] = per_query
+        for qid in range(1, 23):
+            start = len(trace)
+            result = db.run_query(query_builder(qid), label=f"Q{qid}")
+            out[qid] = _fingerprint(db, result, trace[start:])
         return out
 
     @pytest.mark.parametrize("qid", range(1, 23))
-    def test_query_identical_simulation(self, runs, qid):
-        assert runs[True][qid] == runs[False][qid]
-        _check_golden(f"tpch22_Q{qid:02d}", runs[True][qid]["fingerprint"])
-
-
-class TestVectorizedDefault:
-    def test_engine_vectorized_by_default(self):
-        assert make_database().vectorized is True
-
-    def test_flag_reaches_engine(self):
-        assert make_database(vectorized=False).vectorized is False
+    def test_query_identical_simulation(self, fingerprints, qid):
+        _check_golden(f"tpch22_Q{qid:02d}", fingerprints[qid])
